@@ -54,9 +54,11 @@ def test_workload_names_match_spec():
 
 def test_end_to_end_metric_names_match_spec(tmp_path):
     wl = tiny("naive-decide")
+    wl = dataclasses.replace(wl, ops_per_round=2)
     state = wl.setup(tmp_path)
-    ops = run.timed_loop(wl, state, seed=5, seconds=0)
-    metrics = run.end_to_end_metrics(wl, ops, setup_samples=[0.5])
+    runs = run.timed_rounds(wl, state, seed=5, seconds=0)
+    assert [len(r) for r in runs] == [1, 1]
+    metrics = run.end_to_end_metrics(wl, runs, setup_samples=[0.5])
     assert {k: run.END_TO_END_UNITS[k] for k in metrics} == spec_units(
         "end_to_end")
     assert all(v > 0 for v in metrics.values())
@@ -87,7 +89,8 @@ def test_traced_run_restores_lookups_and_repeats_counts(name, tmp_path):
 
 
 def test_sim_check_flags_undercoverage():
-    wl = workloads.WORKLOADS["umau-d1-null"]
+    wl = dataclasses.replace(workloads.WORKLOADS["umau-d1-null"],
+                             replicates=10_000)
     csv = "\n".join([
         workloads.SIM_HEADER,
         "full,0.160000,naive,0.870000,1.0,1.0,0.04",
@@ -99,6 +102,19 @@ def test_sim_check_flags_undercoverage():
     ]) + "\n"
     failures = wl.check_op(5, run.Op(0, 5, csv, 1.0, 1.0))
     assert len(failures) == 1 and failures[0].startswith("full umau")
+    # Pooled over ten such calls the shortfall fails the run check too.
+    pooled = wl.check_run([run.Op(i, 5, csv, 1.0, 1.0) for i in range(10)])
+    assert len(pooled) == 1 and pooled[0].startswith("pooled calls: full umau")
+
+
+def test_repeat_with_different_output_fails(tmp_path):
+    wl = tiny("naive-decide")
+    state = wl.setup(tmp_path)
+    first = run.run_op(wl, state, 0, wl.inputs(9, 0))
+    same = run.run_op(wl, state, 0, wl.inputs(9, 0))
+    other = dataclasses.replace(same, output=same.output.replace(",0.", ",1.", 1))
+    failed, _ = run.check_ops(wl, 9, [[first, same, other]])
+    assert failed == {(0, 2): ["repeat gave a different output"]}
 
 
 def test_sim_check_compares_reference_csv():

@@ -1,6 +1,6 @@
-"""The four benchmark workloads: seeded inputs, one operation, output checks.
+"""The three benchmark workloads: seeded inputs, one operation, output checks.
 
-The three simulation workloads run ``enrichci simulate`` in process through
+The two simulation workloads run ``enrichci simulate`` in process through
 ``enrichci.cli.main``, so an operation is one simulate call and its checked
 output is the CSV a user gets. ``ci-scalar`` draws realized trials and an
 operation is the work behind ``enrichci ci``: the interim decision plus one
@@ -64,22 +64,21 @@ SIM_DESIGN = {"k": 2, "p": [0.5, 0.5], "n1": 244, "n2": 244, "sigma": 8.0,
 class SimWorkload:
     name: str
     rule: str
-    co_primary: bool
     deltas: tuple
     methods: tuple
     replicates: int            # per simulate call
+    ops_per_round: int         # distinct calls (scenario seeds) in a run
     op_seconds: float          # nominal call time; sizes the traced run
-    naive_exact: float = None  # model-exact naive coverage, co-primary rows
 
     def describe(self):
         return {"design": SIM_DESIGN, "rule": self.rule, "threshold": 1.0,
-                "co_primary": self.co_primary, "deltas": list(self.deltas),
+                "deltas": list(self.deltas),
                 "methods": list(self.methods),
                 "replicates_per_op": self.replicates}
 
     def setup(self, work_dir):
         config = dict(SIM_DESIGN, rule={"type": self.rule, "threshold": 1.0},
-                      co_primary=self.co_primary, deltas=list(self.deltas))
+                      deltas=list(self.deltas))
         path = work_dir / f"{self.name}.json"
         path.write_text(json.dumps(config))
         return str(path)
@@ -116,47 +115,68 @@ class SimWorkload:
             prob *= ndtr((1.0 - delta) / se)
         return prob
 
+    def _counts(self, csv):
+        """Branch proportions {label: share}, the stop count, and
+        {(label, method): [covered, n]} of one simulate CSV."""
+        reps = self.replicates
+        shares, counts, stopped = {}, {}, 0
+        for line in csv.splitlines()[1:]:
+            label, prop, method, cov = line.split(",")[:4]
+            n = round(float(prop) * reps)
+            if ":" not in label and label != "overall" and (
+                    method in ("none", self.methods[0])):
+                shares[label] = float(prop)
+            if label == "stop":
+                stopped = n
+            if method != "none" and n:
+                counts[label, method] = [round(float(cov) * n), n]
+        return shares, stopped, counts
+
+    def _band_failures(self, stopped, counts, reps):
+        """Counts outside their binomial band (an empty list if none)."""
+        failures = []
+        stop_prob = self._stop_probability()
+        if stop_prob is not None and not binomial_ok(stopped, reps, stop_prob):
+            failures.append(
+                f"stop proportion {stopped / reps:.6f} vs exact {stop_prob:.4f}")
+        for (label, method), (covered, n) in counts.items():
+            if method in ("umau", "tost") and not binomial_ok(
+                    covered, n, 1.0 - ALPHA):
+                failures.append(
+                    f"{label} {method} coverage {covered / n:.6f} outside "
+                    f"band of {1.0 - ALPHA} (n={n})")
+        return failures
+
     def check_op(self, seed, op):
         """Failures of one simulate call's CSV (an empty list if it passes)."""
         csv = op.output
         ref = REFERENCE_DIR / f"{self.name}-seed{seed}-op{op.index}.csv"
         if ref.exists() and csv != ref.read_text():
             return [f"CSV differs from {ref.name}"]
-        lines = csv.splitlines()
-        if not lines or lines[0] != SIM_HEADER:
+        if csv.splitlines()[:1] != [SIM_HEADER]:
             return ["unexpected CSV header"]
-        reps = self.replicates
-        stop_prob = self._stop_probability()
-        failures = []
-        branch_total = 0.0
-        for line in lines[1:]:
-            label, prop, method, cov = line.split(",")[:4]
-            n = round(float(prop) * reps)
-            if ":" not in label and label != "overall" and (
-                    method in ("none", self.methods[0])):
-                branch_total += float(prop)
-            if label == "stop" and stop_prob is not None and not binomial_ok(
-                    n, reps, stop_prob):
-                failures.append(f"stop proportion {prop} vs exact {stop_prob:.4f}")
-            if method == "none" or n == 0:
-                continue
-            covered = round(float(cov) * n)
-            if method in ("umau", "tost"):
-                expected = 1.0 - ALPHA
-            elif self.naive_exact and label in ("full:delta1", "full:delta2"):
-                expected = self.naive_exact
-            else:
-                continue
-            if not binomial_ok(covered, n, expected):
-                failures.append(
-                    f"{label} {method} coverage {cov} outside band of "
-                    f"{expected} (n={n})")
+        shares, stopped, counts = self._counts(csv)
+        failures = self._band_failures(stopped, counts, self.replicates)
+        branch_total = sum(shares.values())
         if abs(branch_total - 1.0) > 1e-5:
             failures.append(f"branch proportions sum to {branch_total}")
         return failures
 
     def check_run(self, ops):
-        return []
+        """The same bands over all calls of the run pooled: the calls have
+        distinct scenario seeds, so their replicates are independent."""
+        stopped, counts = 0, {}
+        parsed = [self._counts(op.output) for op in ops
+                  if op.output and op.output.startswith(SIM_HEADER)]
+        for _, s, c in parsed:
+            stopped += s
+            for key, (covered, n) in c.items():
+                total = counts.setdefault(key, [0, 0])
+                total[0] += covered
+                total[1] += n
+        reps = self.replicates * len(parsed)
+        return [f"pooled calls: {f}"
+                for f in self._band_failures(stopped, counts, reps)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,7 +187,8 @@ class CiWorkload:
     methods: tuple = ("naive", "umau", "tost")
     deltas: tuple = (0.1, 0.0)
     replicates: int = 1        # one trial per operation
-    op_seconds: float = 0.35
+    ops_per_round: int = 40    # distinct trials in a run
+    op_seconds: float = 0.25
 
     design = TrialDesign(k=2, p=(0.5, 0.5), n1=200, n2=100, sigma=0.36,
                          alpha=ALPHA)
@@ -250,6 +271,16 @@ class CiWorkload:
         return failures
 
 
+def write_reference(name, seed, work_dir):
+    """Store the CSVs of a run's simulate calls as its reference."""
+    wl = WORKLOADS[name]
+    state = wl.setup(work_dir)
+    REFERENCE_DIR.mkdir(exist_ok=True)
+    for i in range(wl.ops_per_round):
+        path = REFERENCE_DIR / f"{name}-seed{seed}-op{i}.csv"
+        path.write_text(wl.run(state, wl.inputs(seed, i)))
+
+
 def _interval_error(ci, model, observed):
     """Why ``ci`` does not solve its defining equations, or None."""
     beta = 1.0 - ALPHA
@@ -287,13 +318,10 @@ def _interval_error(ci, model, observed):
 
 WORKLOADS = {
     w.name: w for w in (
-        SimWorkload("umau-d1-null", "d1", False, (0.0, 0.0),
-                    ("naive", "umau", "tost"), replicates=2000, op_seconds=4.0),
-        SimWorkload("tost-coprimary", "d2", True, (0.5, 0.0),
-                    ("naive", "tost"), replicates=10000, op_seconds=2.6,
-                    naive_exact=0.9241),
-        SimWorkload("naive-decide", "d2", False, (0.0, 0.0), ("naive",),
-                    replicates=100_000, op_seconds=1.6),
+        SimWorkload("umau-d1-null", "d1", (0.0, 0.0), ("naive", "umau", "tost"),
+                    replicates=500, ops_per_round=3, op_seconds=1.4),
+        SimWorkload("naive-decide", "d2", (0.0, 0.0), ("naive",),
+                    replicates=25_000, ops_per_round=4, op_seconds=0.25),
         CiWorkload(),
     )
 }
