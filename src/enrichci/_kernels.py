@@ -10,6 +10,7 @@ through Owen's T. All routines broadcast: ``delta``, ``x``, ``lower``,
 """
 
 import numpy as np
+from scipy.optimize.elementwise import bracket_root, find_root
 from scipy.special import log_ndtr, ndtr
 
 from ._normal import bvn_cdf, log_norm_prob_range, norm_pdf, norm_prob_range
@@ -254,30 +255,58 @@ def cond_partial_moment(a, b, delta, sigma1, sigma2, lower, upper,
     return out
 
 
-def cond_quantile(q, delta, sigma1, sigma2, lower, upper, tol=1e-13, max_iter=90):
-    """Vectorized quantile by bisection on the monotone conditional CDF."""
-    q = np.asarray(q, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    q, delta, lower, upper = np.broadcast_arrays(q, delta, lower, upper)
+def flat_broadcast(*arrays):
+    """Broadcast shape plus each argument broadcast and flattened to 1-D."""
+    broad = np.broadcast_arrays(*[np.asarray(a, dtype=float) for a in arrays])
+    return broad[0].shape, [np.atleast_1d(b).ravel() for b in broad]
+
+
+def monotone_root(f, lo, hi, xatol, fatol=None):
+    """Root in x of each element of a monotone ``f(x, i)``.
+
+    ``lo``/``hi`` are flat arrays seeding one bracket per element; ``f``
+    receives the abscissae together with the indices ``i`` of the elements
+    they belong to, so it can look up per-element data. Chandrupatla's
+    method (``find_root``) runs on the seed brackets; only elements whose
+    seed bracket holds no sign change are grown by ``bracket_root`` and
+    solved again, because re-solving from a grown bracket evaluates its
+    ends a second time. Returns (root, ok); ``ok`` is False where the
+    solve failed or ``f`` returned a non-finite value along the way.
+    """
+    finite = np.ones(lo.shape, dtype=bool)
+
+    def g(x, i):
+        fx = f(x, i)
+        finite[i[~np.isfinite(fx)]] = False
+        return fx
+
+    tol = {"xatol": xatol, "fatol": fatol}
+    res = find_root(g, (lo, hi), args=(np.arange(lo.size),), tolerances=tol)
+    root, ok = res.x, res.success
+    redo = np.flatnonzero(res.status == -1)
+    if redo.size:
+        grown = bracket_root(g, lo[redo], hi[redo], args=(redo,))
+        redo = redo[grown.success]
+        xl, xr = (b[grown.success] for b in grown.bracket)
+        res = find_root(g, (xl, xr), args=(redo,), tolerances=tol)
+        root[redo], ok[redo] = res.x, res.success
+    return root, ok & finite
+
+
+def cond_quantile(q, delta, sigma1, sigma2, lower, upper):
+    """Vectorized quantile: the root in x of the monotone conditional CDF.
+
+    NaN where the root was not found.
+    """
+    shape, (q, delta, lower, upper) = flat_broadcast(q, delta, lower, upper)
     sigma12, _, _ = _geometry(sigma1, sigma2)
 
+    def excess(x, i):
+        return cond_cdf(x, delta[i], sigma1, sigma2, lower[i], upper[i]) - q[i]
+
     center = cond_mean(delta, sigma1, sigma2, lower, upper)
-    lo = center - 12.0 * sigma12
-    hi = center + 12.0 * sigma12
-    for _ in range(6):
-        bad_lo = cond_cdf(lo, delta, sigma1, sigma2, lower, upper) > q
-        bad_hi = cond_cdf(hi, delta, sigma1, sigma2, lower, upper) < q
-        if not (bad_lo.any() or bad_hi.any()):
-            break
-        lo = np.where(bad_lo, lo - 8.0 * sigma12, lo)
-        hi = np.where(bad_hi, hi + 8.0 * sigma12, hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        below = cond_cdf(mid, delta, sigma1, sigma2, lower, upper) < q
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= tol * sigma12:
-            break
-    return 0.5 * (lo + hi)
+    root, ok = monotone_root(
+        excess, center - 12.0 * sigma12, center + 12.0 * sigma12,
+        xatol=1e-13 * sigma12,
+    )
+    return np.where(ok, root, np.nan).reshape(shape)

@@ -12,12 +12,9 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 def norm_pdf(z):
     z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
     finite = np.isfinite(z)
-    out[~finite] = 0.0
     zf = np.where(finite, z, 0.0)
-    out = np.where(finite, np.exp(-0.5 * zf * zf) / _SQRT_2PI, 0.0)
-    return out
+    return np.where(finite, np.exp(-0.5 * zf * zf) / _SQRT_2PI, 0.0)
 
 
 def norm_prob_range(a, b):

@@ -4,9 +4,9 @@ Whole branches of simulated trials share the truncation geometry
 (``sigma1``/``sigma2`` fixed, per-replicate bounds and observations), so
 the exact-test constructions are solved for all replicates at once:
 damped Newton for the two moment constraints of the acceptance region and
-a safeguarded false-position sweep for the test inversion in the effect
-parameter. Elements that fail to converge are reported so callers can
-fall back to the scalar path.
+one bracketed root-finder (``_kernels.monotone_root``) for the test
+inversion in the effect parameter. Elements that fail to converge are
+reported through an ``ok`` mask.
 """
 
 import numpy as np
@@ -18,14 +18,10 @@ from ._kernels import (
     cond_partial_moment,
     cond_pdf,
     cond_quantile,
+    flat_broadcast,
+    monotone_root,
     pooled_sd,
 )
-
-
-def _flat(*arrays):
-    broad = np.broadcast_arrays(*[np.asarray(a, dtype=float) for a in arrays])
-    shape = broad[0].shape
-    return shape, [np.atleast_1d(b).ravel() for b in broad]
 
 
 def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
@@ -34,13 +30,13 @@ def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
 
     Returns (c1, c2, ok). Warm starts may be passed through ``c1``/``c2``.
     """
-    shape, (delta0, lower, upper) = _flat(delta0, lower, upper)
+    shape, (delta0, lower, upper) = flat_broadcast(delta0, lower, upper)
     sigma12 = pooled_sd(sigma1, sigma2)
     beta = 1.0 - alpha
 
     if c1 is None or c2 is None:
-        c1 = cond_quantile(0.5 * alpha, delta0, sigma1, sigma2, lower, upper)
-        c2 = cond_quantile(1.0 - 0.5 * alpha, delta0, sigma1, sigma2, lower, upper)
+        tails = [[0.5 * alpha], [1.0 - 0.5 * alpha]]
+        c1, c2 = cond_quantile(tails, delta0, sigma1, sigma2, lower, upper)
     c1 = np.array(np.broadcast_to(c1, delta0.shape), dtype=float).copy()
     c2 = np.array(np.broadcast_to(c2, delta0.shape), dtype=float).copy()
 
@@ -114,105 +110,36 @@ def _critical_value(delta, alpha, sigma1, sigma2, lower, upper, side, warm,
 
 
 def batch_umau_endpoint(observed, alpha, sigma1, sigma2, lower, upper, side,
-                        center=None, max_iter=80, tol_scale=1.0):
+                        center, tol_scale=1.0):
     """One endpoint of the exact-test inversion, per element.
 
     ``side='lower'`` solves C2(delta)=observed; ``side='upper'`` solves
     C1(delta)=observed. Both critical values are strictly increasing in
-    delta, so a bracketed false-position sweep (Illinois safeguard) is
-    used. ``center`` seeds the initial bracket (the matching equal-tailed
-    endpoint is an excellent guess); without it the bracket starts wide.
-    Returns (endpoint, ok).
+    delta. ``center`` seeds a bracket of +/-0.75 pooled sd (the matching
+    equal-tailed endpoint is an excellent guess). Returns (endpoint, ok).
     """
-    shape, (observed, lower, upper) = _flat(observed, lower, upper)
+    shape, (observed, lower, upper, center) = flat_broadcast(
+        observed, lower, upper, center
+    )
     sigma12 = pooled_sd(sigma1, sigma2)
 
     warm = [observed - 2.0 * sigma12, observed + 2.0 * sigma12]
     newton_tol = 1e-10 * tol_scale
 
-    def h_sub(delta, idx):
-        sub = [warm[0][idx], warm[1][idx]]
+    def excess(delta, i):
+        sub = [warm[0][i], warm[1][i]]
         val, ok = _critical_value(
-            delta, alpha, sigma1, sigma2, lower[idx], upper[idx], side, sub,
+            delta, alpha, sigma1, sigma2, lower[i], upper[i], side, sub,
             tol=newton_tol,
         )
-        warm[0][idx], warm[1][idx] = sub
-        return val - observed[idx], ok
+        warm[0][i], warm[1][i] = sub
+        return np.where(ok, val - observed[i], np.nan)
 
-    def h(delta):
-        val, ok = _critical_value(
-            delta, alpha, sigma1, sigma2, lower, upper, side, warm,
-            tol=newton_tol,
-        )
-        return val - observed, ok
-
-    if center is None:
-        center = np.broadcast_to(observed, observed.shape)
-        half = 10.0 * sigma12
-    else:
-        _, (center,) = _flat(center)
-        half = 0.75 * sigma12
-    all_ok = np.ones(observed.shape, dtype=bool)
-    lo = center - half
-    hi = center + half
-    flo, ok = h(lo)
-    all_ok &= ok
-    step = np.full(observed.shape, 2.0 * half)
-    for _ in range(7):
-        idx = np.flatnonzero(flo > 0.0)
-        if idx.size == 0:
-            break
-        lo[idx] -= step[idx]
-        step[idx] *= 2.0
-        flo[idx], ok = h_sub(lo[idx], idx)
-        all_ok[idx] &= ok
-    fhi, ok = h(hi)
-    all_ok &= ok
-    step = np.full(observed.shape, 2.0 * half)
-    for _ in range(7):
-        idx = np.flatnonzero(fhi < 0.0)
-        if idx.size == 0:
-            break
-        hi[idx] += step[idx]
-        step[idx] *= 2.0
-        fhi[idx], ok = h_sub(hi[idx], idx)
-        all_ok[idx] &= ok
-    bracketed = (flo <= 0.0) & (fhi >= 0.0)
-
-    last_hi = np.zeros(observed.shape, dtype=bool)
-    tol = 1e-9 * sigma12 * tol_scale
-    ftol = 1e-10 * sigma12 * tol_scale
-    done = (np.minimum(np.abs(flo), np.abs(fhi)) <= ftol) | ((hi - lo) <= tol)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(~done)
-        if idx.size == 0:
-            break
-        lo_i, hi_i, flo_i, fhi_i = lo[idx], hi[idx], flo[idx], fhi[idx]
-        denom = fhi_i - flo_i
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = (lo_i * fhi_i - hi_i * flo_i) / denom
-        mid = 0.5 * (lo_i + hi_i)
-        use_mid = ~np.isfinite(x) | (x <= lo_i) | (x >= hi_i)
-        x = np.where(use_mid, mid, x)
-        fx, ok = h_sub(x, idx)
-        all_ok[idx] &= ok
-        go_hi = fx > 0.0
-        # Illinois: halve the stale ordinate on a repeated same-side move.
-        flo_i = np.where(go_hi & last_hi[idx], 0.5 * flo_i, flo_i)
-        fhi_i = np.where(~go_hi & ~last_hi[idx], 0.5 * fhi_i, fhi_i)
-        hi_i = np.where(go_hi, x, hi_i)
-        fhi_i = np.where(go_hi, fx, fhi_i)
-        lo_i = np.where(~go_hi, x, lo_i)
-        flo_i = np.where(~go_hi, fx, flo_i)
-        lo[idx], hi[idx], flo[idx], fhi[idx] = lo_i, hi_i, flo_i, fhi_i
-        last_hi[idx] = go_hi
-        done[idx] = (
-            (np.minimum(np.abs(flo_i), np.abs(fhi_i)) <= ftol)
-            | ((hi_i - lo_i) <= tol)
-        )
-    root = np.where(np.abs(flo) <= np.abs(fhi), lo, hi)
-    converged = bracketed & all_ok & done
-    return root.reshape(shape), converged.reshape(shape)
+    root, ok = monotone_root(
+        excess, center - 0.75 * sigma12, center + 0.75 * sigma12,
+        xatol=1e-9 * sigma12 * tol_scale, fatol=1e-10 * sigma12 * tol_scale,
+    )
+    return root.reshape(shape), ok.reshape(shape)
 
 
 def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper,
@@ -238,43 +165,29 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper,
     return lo, hi, ok_lo & ok_hi
 
 
-def batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper, max_iter=100):
+def batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper):
     """Both endpoints of the two one-sided-tests inversion.
 
     The conditional CDF at the observed value is strictly decreasing in
-    delta, so each endpoint is a bracketed bisection in delta.
+    delta; the lower endpoint is where it falls to 1 - alpha/2, the upper
+    one where it falls to alpha/2. Both are solved in one call.
     """
-    shape, (observed, lower, upper) = _flat(observed, lower, upper)
+    shape, (observed, lower, upper) = flat_broadcast(observed, lower, upper)
     sigma12 = pooled_sd(sigma1, sigma2)
+    n = observed.size
+    q = np.repeat([1.0 - 0.5 * alpha, 0.5 * alpha], n)
+    observed, lower, upper = (np.tile(a, 2) for a in (observed, lower, upper))
 
-    def cdf_at(delta):
-        return cond_cdf(observed, delta, sigma1, sigma2, lower, upper)
+    def excess(delta, i):
+        cdf = cond_cdf(observed[i], delta, sigma1, sigma2, lower[i], upper[i])
+        return cdf - q[i]
 
-    out = []
-    ok_all = np.ones(observed.shape, dtype=bool)
-    for q in (1.0 - 0.5 * alpha, 0.5 * alpha):  # lower endpoint first
-        lo = observed - 10.0 * sigma12
-        hi = observed + 10.0 * sigma12
-        for _ in range(2):
-            bad = cdf_at(lo) < q  # need F large at the left edge
-            if not bad.any():
-                break
-            lo = np.where(bad, observed - 2.0 * (observed - lo), lo)
-        for _ in range(2):
-            bad = cdf_at(hi) > q
-            if not bad.any():
-                break
-            hi = np.where(bad, observed + 2.0 * (hi - observed), hi)
-        ok_all &= (cdf_at(lo) >= q) & (cdf_at(hi) <= q)
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            above = cdf_at(mid) > q
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-            if np.max(hi - lo) <= 1e-10 * sigma12:
-                break
-        out.append(0.5 * (lo + hi))
-    return out[0].reshape(shape), out[1].reshape(shape), ok_all.reshape(shape)
+    root, ok = monotone_root(
+        excess, observed - 10.0 * sigma12, observed + 10.0 * sigma12,
+        xatol=1e-10 * sigma12,
+    )
+    ok = ok[:n] & ok[n:]
+    return root[:n].reshape(shape), root[n:].reshape(shape), ok.reshape(shape)
 
 
 def batch_naive_ci(observed, alpha, sigma1, sigma2):

@@ -86,6 +86,13 @@ def _methods_from(config, args):
     return methods
 
 
+def _per_subpopulation(values, key, k):
+    values = tuple(float(v) for v in values)
+    if len(values) != k:
+        raise ConfigurationError(f"{key} has {len(values)} entries, expected k={k}")
+    return values
+
+
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -100,7 +107,8 @@ def cmd_ci(args):
     design = _design_from_config(config)
     rule = _rule_from_config(config, args.co_primary)
     methods = _methods_from(config, args)
-    s1 = Stage1Summary(tuple(_require(config, "stage1_means")))
+    stage1 = _require(config, "stage1_means")
+    s1 = Stage1Summary(_per_subpopulation(stage1, "stage1_means", design.k))
     decision = rule.decide(design, s1)
     if decision.stopped:
         _emit([f"decision,{decision.label}"], args.out)
@@ -109,7 +117,7 @@ def cmd_ci(args):
     if isinstance(s2_value, (int, float)):
         s2 = Stage2Summary(float(s2_value))
     else:
-        subs = tuple(float(v) for v in s2_value)
+        subs = _per_subpopulation(s2_value, "stage2_means", design.k)
         selected = sum(
             design.p[m - 1] * subs[m - 1] for m in decision.selected
         ) / design.prevalence(decision.selected)
@@ -242,10 +250,6 @@ def _build_parser():
         if needs_config:
             p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, help="override scenario seed")
-        p.add_argument(
-            "--replicates", type=int, help="override replicate count"
-        )
         p.add_argument(
             "--methods", help="comma-separated subset of naive,tost,umau"
         )
@@ -260,6 +264,10 @@ def _build_parser():
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
     common(p_sim, needs_config=True)
+    p_sim.add_argument("--seed", type=int, help="override scenario seed")
+    p_sim.add_argument(
+        "--replicates", type=int, help="override replicate count"
+    )
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ex = sub.add_parser("example", help="reproduce the worked example")

@@ -55,7 +55,6 @@ class ConditionalNormal:
     tau1: float = field(init=False, repr=False)
     tau2: float = field(init=False, repr=False)
     sigma12: float = field(init=False, repr=False)
-    ratio: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.delta)):
@@ -85,7 +84,6 @@ class ConditionalNormal:
         object.__setattr__(
             self, "sigma12", _kernels.pooled_sd(self.sigma1, self.sigma2)
         )
-        object.__setattr__(self, "ratio", self.sigma1 / self.sigma2)
 
     # -- convenience ----------------------------------------------------
 

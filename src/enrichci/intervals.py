@@ -12,8 +12,6 @@ Three constructions:
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from . import batch
@@ -60,49 +58,34 @@ def _check_alpha_umau(alpha):
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
 
 
-def acceptance_interval(c1, c2):
-    """Integral bounds used when checking the defining equations."""
-    return CriticalPair(float(c1), float(c2))
-
-
 def solve_umpu(model: ConditionalNormal, alpha: float) -> CriticalPair:
     """Critical pair (c1, c2) of the two-sided conditional test at ``model.delta``.
 
-    Newton on the two defining constraints, with the guaranteed bracketed
-    monotone solve as a fallback.
+    A size-1 call of the batch Newton solve on the two defining
+    constraints; raises ``NumericalError`` if it does not converge.
     """
     _check_alpha_umau(alpha)
     c1, c2, ok = batch.batch_solve_umpu(
         model.delta, alpha, model.sigma1, model.sigma2, model.lower, model.upper
     )
-    if bool(np.all(ok)):
-        return CriticalPair(float(c1), float(c2))
-    return _solve_umpu_bracketed(model, alpha)
-
-
-def _solve_umpu_bracketed(model: ConditionalNormal, alpha: float) -> CriticalPair:
-    """Reference solve: bracketed root-finding on the strictly increasing
-    truncated first moment of the acceptance interval."""
-    beta = 1.0 - alpha
-    target = beta * model.mean()
-
-    def upper_cut(c1):
-        return model.quantile(min(model.cdf(c1) + beta, 1.0 - 1e-15))
-
-    def residual(c1):
-        return model.partial_moment(c1, upper_cut(c1)) - target
-
-    lo = model.quantile(1e-8)
-    hi = model.quantile(alpha * (1.0 - 1e-8))
-    r_lo, r_hi = residual(lo), residual(hi)
-    if not r_lo < 0.0 < r_hi:
+    if not ok:
         raise NumericalError(
-            "acceptance-region bracket shows no sign change: "
-            f"residual({lo:.6g})={r_lo:.3e}, residual({hi:.6g})={r_hi:.3e}, "
+            f"acceptance region did not converge at alpha={alpha}, model={model}"
+        )
+    return CriticalPair(float(c1), float(c2))
+
+
+def _interval(solver, method, model, observed, alpha, target):
+    """Size-1 call of a batch interval solver; NumericalError on failure."""
+    lo, hi, ok = solver(
+        observed, alpha, model.sigma1, model.sigma2, model.lower, model.upper
+    )
+    if not ok:
+        raise NumericalError(
+            f"{method} interval did not converge at observed={observed:.6g}, "
             f"model={model}"
         )
-    c1 = brentq(residual, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    return CriticalPair(c1, upper_cut(c1))
+    return IntervalEstimate(float(lo), float(hi), method, alpha, target)
 
 
 def umau_ci(model: ConditionalNormal, observed: float, alpha: float,
@@ -119,45 +102,7 @@ def umau_ci(model: ConditionalNormal, observed: float, alpha: float,
     if not model.truncated:
         return naive_ci(observed, model.sigma12, alpha, target=target,
                         method="umau")
-    lo, hi, ok = batch.batch_umau_ci(
-        observed, alpha, model.sigma1, model.sigma2, model.lower, model.upper
-    )
-    if bool(np.all(ok)):
-        return IntervalEstimate(float(lo), float(hi), "umau", alpha, target)
-    return _umau_ci_bracketed(model, observed, alpha, target)
-
-
-def _umau_ci_bracketed(model, observed, alpha, target):
-    sigma12 = model.sigma12
-
-    def critical(delta, side):
-        pair = solve_umpu(model.at(delta), alpha)
-        return pair.c2 if side == "lower" else pair.c1
-
-    endpoints = {}
-    for side in ("lower", "upper"):
-        def h(delta, side=side):
-            return critical(delta, side) - observed
-
-        span = 10.0 * sigma12
-        lo, hi = observed - span, observed + span
-        for _ in range(3):
-            if h(lo) <= 0.0:
-                break
-            lo = observed - 2.0 * (observed - lo)
-        for _ in range(3):
-            if h(hi) >= 0.0:
-                break
-            hi = observed + 2.0 * (hi - observed)
-        if not (h(lo) <= 0.0 <= h(hi)):
-            raise NumericalError(
-                f"bracket exhausted for the {side} endpoint at "
-                f"observed={observed:.6g}, model={model}"
-            )
-        endpoints[side] = brentq(h, lo, hi, xtol=1e-11 * max(1.0, sigma12))
-    return IntervalEstimate(
-        endpoints["lower"], endpoints["upper"], "umau", alpha, target
-    )
+    return _interval(batch.batch_umau_ci, "umau", model, observed, alpha, target)
 
 
 def ctost_ci(model: ConditionalNormal, observed: float, alpha: float,
@@ -171,36 +116,7 @@ def ctost_ci(model: ConditionalNormal, observed: float, alpha: float,
     if not model.truncated:
         return naive_ci(observed, model.sigma12, alpha, target=target,
                         method="tost")
-    lo, hi, ok = batch.batch_ctost_ci(
-        observed, alpha, model.sigma1, model.sigma2, model.lower, model.upper
-    )
-    if bool(np.all(ok)):
-        return IntervalEstimate(float(lo), float(hi), "tost", alpha, target)
-
-    sigma12 = model.sigma12
-    endpoints = []
-    for q in (1.0 - 0.5 * alpha, 0.5 * alpha):
-        def h(delta, q=q):
-            return model.at(delta).cdf(observed) - q
-
-        span = 10.0 * sigma12
-        lo_b, hi_b = observed - span, observed + span
-        for _ in range(3):
-            if h(lo_b) >= 0.0:
-                break
-            lo_b = observed - 2.0 * (observed - lo_b)
-        for _ in range(3):
-            if h(hi_b) <= 0.0:
-                break
-            hi_b = observed + 2.0 * (hi_b - observed)
-        if not (h(hi_b) <= 0.0 <= h(lo_b)):
-            side = "lower" if q > 0.5 else "upper"
-            raise NumericalError(
-                f"bracket exhausted for the {side} endpoint at "
-                f"observed={observed:.6g}, model={model}"
-            )
-        endpoints.append(brentq(h, lo_b, hi_b, xtol=1e-11 * max(1.0, sigma12)))
-    return IntervalEstimate(endpoints[0], endpoints[1], "tost", alpha, target)
+    return _interval(batch.batch_ctost_ci, "tost", model, observed, alpha, target)
 
 
 def naive_ci(observed: float, se: float, alpha: float, target: str = "delta",

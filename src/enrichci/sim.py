@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import batch
-from .condnorm import ConditionalNormal, NumericalError
+from .condnorm import NumericalError
 from .designs import (
     ConfigurationError,
     Stage1Summary,
@@ -27,7 +27,6 @@ from .designs import (
     apply_kimani2015,
     apply_kimani2018,
 )
-from .intervals import ctost_ci, naive_ci, umau_ci
 
 _VARIANTS = ("d1", "d2", "kimani2015", "kimani2018")
 _METHODS = ("naive", "umau", "tost")
@@ -44,7 +43,7 @@ class DecisionRule:
     """Interim rule variant plus its threshold.
 
     ``co_primary`` adds per-subpopulation targets under full-population
-    continuation (meaningful for the mean- and Z-threshold rules).
+    continuation; only the Z- and mean-threshold rules (d1, d2) define them.
     """
 
     variant: str
@@ -59,6 +58,11 @@ class DecisionRule:
         if not math.isfinite(self.threshold):
             raise ConfigurationError(
                 f"rule threshold must be finite, got {self.threshold}"
+            )
+        if self.co_primary and self.variant not in ("d1", "d2"):
+            raise ConfigurationError(
+                f"co_primary targets are defined for d1 and d2 only, "
+                f"not {self.variant!r}"
             )
 
     def decide(self, design, s1):
@@ -239,36 +243,13 @@ def _branch_key(label):
     return (1, label)
 
 
-def _solve_method(method, observed, alpha, se1, se2, lower, upper, truncated):
-    """Endpoint arrays for one method over one branch/target group."""
-    if method == "naive" or not truncated:
-        return batch.batch_naive_ci(observed, alpha, se1, se2) + (None,)
+def _solve_method(method, observed, alpha, se1, se2, lower, upper):
+    """Endpoint arrays and ok mask for umau or tost over one chunk."""
     if method == "tost":
-        lo, hi, ok = batch.batch_ctost_ci(observed, alpha, se1, se2, lower, upper)
-        return lo, hi, ok
-    lo, hi, ok = batch.batch_umau_ci(
+        return batch.batch_ctost_ci(observed, alpha, se1, se2, lower, upper)
+    return batch.batch_umau_ci(
         observed, alpha, se1, se2, lower, upper, tol_scale=_SIM_TOL_SCALE
     )
-    return lo, hi, ok
-
-
-def _retry_scalar(method, idx_bad, observed, alpha, se1, se2, lower, upper,
-                  lo, hi, replicate_ids, seed):
-    for j in idx_bad:
-        model = ConditionalNormal(
-            0.0, se1, se2, lower=float(lower[j]), upper=float(upper[j])
-        )
-        try:
-            if method == "umau":
-                ci = umau_ci(model, float(observed[j]), alpha)
-            else:
-                ci = ctost_ci(model, float(observed[j]), alpha)
-        except (NumericalError, ValueError) as exc:
-            raise NumericalError(
-                f"{method} interval failed at replicate {replicate_ids[j]} "
-                f"(seed {seed}): {exc}"
-            ) from exc
-        lo[j], hi[j] = ci.lower, ci.upper
 
 
 def _group_stats(scenario, group, n_total, pool):
@@ -301,22 +282,19 @@ def _group_stats(scenario, group, n_total, pool):
                 e = min(s + _CHUNK, count)
                 return _solve_method(
                     method, observed[s:e], alpha, se1, se2,
-                    lower[s:e], upper[s:e], truncated,
+                    lower[s:e], upper[s:e],
                 )
             results = list(pool.map(run, chunks)) if pool else [
                 run(s) for s in chunks
             ]
             lo = np.concatenate([r[0] for r in results])
             hi = np.concatenate([r[1] for r in results])
-            ok = np.concatenate([
-                np.ones(r[0].shape, dtype=bool) if r[2] is None else r[2]
-                for r in results
-            ])
-            bad = np.flatnonzero(~ok)
+            bad = np.flatnonzero(~np.concatenate([r[2] for r in results]))
             if bad.size:
-                _retry_scalar(
-                    method, bad, observed, alpha, se1, se2, lower, upper,
-                    lo, hi, idx, seed,
+                raise NumericalError(
+                    f"{method} interval for target {tgt['name']} did not "
+                    f"converge at replicate {idx[bad[0]]} (seed {seed}); "
+                    f"{bad.size} replicate(s) failed"
                 )
             return lo, hi
 
@@ -449,7 +427,6 @@ def run_scenario(scenario):
                     "se2": t0.se2,
                     "unaltered": t0.unaltered,
                     "truth": t0.true_value(design, scenario.true_deltas),
-                    "coprimary": t0.coprimary,
                 })
             branch_results.extend(_group_stats(scenario, g, n_total, pool))
             # Selected-population target feeds the overall row.

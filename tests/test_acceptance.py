@@ -10,8 +10,8 @@ Known deviation: the published naive-interval coverage for the
 co-primary (0.5, 0) scenario (90.59/90.92%, "below 92%") is not
 attainable under the stated data-generating model; the model-exact value
 is 92.41% (closed-form bivariate-normal computation, reproduced by
-simulation). See notes/decisions.md. That single check is marked xfail;
-every other criterion is enforced.
+simulation; see test_naive_coverage_matches_model_exact_value). That
+single check is marked xfail; every other criterion is enforced.
 """
 
 import math
@@ -177,7 +177,8 @@ class TestTable4CoPrimary:
             "published value (90.59/90.92%) is inconsistent with the stated "
             "model: conditioning on the one-sided full-continuation event "
             "gives an exact naive coverage of 92.41% for both subpopulation "
-            "effects (bivariate-normal closed form; see notes/decisions.md)"
+            "effects (bivariate-normal closed form; see "
+            "test_naive_coverage_matches_model_exact_value)"
         ),
         strict=False,
     )

@@ -1,11 +1,23 @@
-"""Vectorized solver paths must agree with the scalar reference paths."""
+"""Vectorized solver paths must agree with scalar reference solves.
+
+The references are bracketed scalar ``brentq`` solves: on the truncated
+first moment for the acceptance region, and on the conditional CDF or
+the critical values for the interval endpoints.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from enrichci import ConditionalNormal, ctost_ci, solve_umpu, umau_ci
+from enrichci import (
+    ConditionalNormal,
+    CriticalPair,
+    NumericalError,
+    solve_umpu,
+    umau_ci,
+)
 from enrichci.batch import (
     batch_ctost_ci,
     batch_naive_ci,
@@ -21,11 +33,62 @@ GEOMETRIES = [
 ]
 
 
+def _solve_umpu_bracketed(model: ConditionalNormal, alpha: float) -> CriticalPair:
+    """Reference solve: bracketed root-finding on the strictly increasing
+    truncated first moment of the acceptance interval."""
+    beta = 1.0 - alpha
+    target = beta * model.mean()
+
+    def upper_cut(c1):
+        return model.quantile(min(model.cdf(c1) + beta, 1.0 - 1e-15))
+
+    def residual(c1):
+        return model.partial_moment(c1, upper_cut(c1)) - target
+
+    lo = model.quantile(1e-8)
+    hi = model.quantile(alpha * (1.0 - 1e-8))
+    r_lo, r_hi = residual(lo), residual(hi)
+    if not r_lo < 0.0 < r_hi:
+        raise NumericalError(
+            "acceptance-region bracket shows no sign change: "
+            f"residual({lo:.6g})={r_lo:.3e}, residual({hi:.6g})={r_hi:.3e}, "
+            f"model={model}"
+        )
+    c1 = brentq(residual, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    return CriticalPair(c1, upper_cut(c1))
+
+
+def _scalar_endpoints(excess, observed, sigma12):
+    """brentq roots in delta of excess(delta, side), side lower then upper."""
+    span = 10.0 * sigma12
+    return [
+        brentq(lambda d: excess(d, side), observed - span, observed + span,
+               xtol=1e-12)
+        for side in ("lower", "upper")
+    ]
+
+
+def umau_reference(geom, observed, alpha):
+    """C2(delta) = observed (lower) and C1(delta) = observed (upper)."""
+    def excess(delta, side):
+        pair = solve_umpu(geom.at(delta), alpha)
+        return (pair.c2 if side == "lower" else pair.c1) - observed
+
+    return _scalar_endpoints(excess, observed, geom.sigma12)
+
+
+def ctost_reference(geom, observed, alpha):
+    """The conditional CDF at observed equals 1 - alpha/2, then alpha/2."""
+    def excess(delta, side):
+        q = 1.0 - 0.5 * alpha if side == "lower" else 0.5 * alpha
+        return q - geom.at(delta).cdf(observed)
+
+    return _scalar_endpoints(excess, observed, geom.sigma12)
+
+
 class TestBatchSolveUmpu:
     @pytest.mark.parametrize("s1,s2,lo,up", GEOMETRIES)
     def test_matches_scalar_bracketed_solver(self, s1, s2, lo, up):
-        from enrichci.intervals import _solve_umpu_bracketed
-
         deltas = np.array([-0.8, 0.0, 0.6, 1.4])
         c1, c2, ok = batch_solve_umpu(deltas, 0.05, s1, s2, lo, up)
         assert bool(np.all(ok))
@@ -49,9 +112,9 @@ class TestBatchIntervals:
         blo, bhi, ok = batch_umau_ci(observed, 0.05, s1, s2, lo, up)
         assert bool(np.all(ok))
         for x, a, b in zip(observed, blo, bhi):
-            ref = umau_ci(geom, x, 0.05)
-            assert a == pytest.approx(ref.lower, abs=1e-6)
-            assert b == pytest.approx(ref.upper, abs=1e-6)
+            ref_lo, ref_hi = umau_reference(geom, x, 0.05)
+            assert a == pytest.approx(ref_lo, abs=1e-6)
+            assert b == pytest.approx(ref_hi, abs=1e-6)
 
     @pytest.mark.parametrize("s1,s2,lo,up", GEOMETRIES)
     def test_ctost_matches_scalar(self, s1, s2, lo, up):
@@ -60,9 +123,9 @@ class TestBatchIntervals:
         blo, bhi, ok = batch_ctost_ci(observed, 0.05, s1, s2, lo, up)
         assert bool(np.all(ok))
         for x, a, b in zip(observed, blo, bhi):
-            ref = ctost_ci(geom, x, 0.05)
-            assert a == pytest.approx(ref.lower, abs=1e-6)
-            assert b == pytest.approx(ref.upper, abs=1e-6)
+            ref_lo, ref_hi = ctost_reference(geom, x, 0.05)
+            assert a == pytest.approx(ref_lo, abs=1e-6)
+            assert b == pytest.approx(ref_hi, abs=1e-6)
 
     def test_umau_with_elementwise_bounds(self):
         # Per-element truncation bounds, as produced by simulation branches.

@@ -82,6 +82,45 @@ class TestCmdCi:
         code, _, err = run(["ci", "--config", "/nonexistent.json"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key,values",
+        [
+            ("stage2_means", [0.155]),
+            ("stage2_means", [0.155, -0.064, 0.02]),
+            ("stage1_means", [0.113]),
+        ],
+    )
+    def test_mean_count_must_match_k(self, tmp_path, capsys, key, values):
+        payload = dict(CI_CONFIG, **{key: values})
+        if key == "stage1_means":
+            payload["rule"] = {"type": "kimani2018", "threshold": 0.025}
+            payload["co_primary"] = False
+        cfg = write_config(tmp_path, payload)
+        code, _, err = run(["ci", "--config", cfg], capsys)
+        assert code == 2
+        assert f"{key} has {len(values)} entries" in err
+
+    def test_co_primary_rejected_for_kimani_rules(self, tmp_path, capsys):
+        for variant in ("kimani2015", "kimani2018"):
+            payload = dict(CI_CONFIG, rule={"type": variant, "threshold": 0.02})
+            cfg = write_config(tmp_path, payload)
+            code, _, err = run(["ci", "--config", cfg], capsys)
+            assert code == 2
+            assert "co_primary" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["ci", "--config", "unused.json"], ["example"]],
+    ids=["ci", "example"],
+)
+@pytest.mark.parametrize("flag", ["--seed", "--replicates"])
+def test_simulation_flags_only_on_simulate(capsys, command, flag):
+    with pytest.raises(SystemExit) as info:
+        main(command + [flag, "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCmdSimulate:
     def test_csv_schema_and_roundtrip(self, tmp_path, capsys):

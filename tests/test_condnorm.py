@@ -61,7 +61,6 @@ class TestConstruction:
         assert m.tau1 == pytest.approx(1 / 0.64)
         assert m.tau2 == pytest.approx(1 / 1.44)
         assert m.sigma12**2 == pytest.approx(1 / (m.tau1 + m.tau2), rel=1e-15)
-        assert m.ratio == pytest.approx(0.8 / 1.2)
 
     @pytest.mark.parametrize(
         "kwargs",

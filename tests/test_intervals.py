@@ -15,6 +15,8 @@ from enrichci import (
     ConditionalNormal,
     CriticalPair,
     IntervalEstimate,
+    NumericalError,
+    batch,
     ctost_ci,
     naive_ci,
     solve_umpu,
@@ -218,6 +220,45 @@ class TestCtostCi:
             uppers.append(est.upper)
         assert all(b > a for a, b in zip(lowers, lowers[1:]))
         assert all(b > a for a, b in zip(uppers, uppers[1:]))
+
+    def test_deep_tail_endpoints_beyond_seed_bracket(self):
+        # The endpoints lie 43 and 23 pooled SDs below the observation,
+        # outside the seed bracket; at the lower one the selection
+        # log-probability is -927. A 40-digit mpmath quadrature of the
+        # density gives F(1.0; delta) = 0.975 and 0.025 at these values.
+        m = ConditionalNormal(0.0, 0.4, 2.0, lower=1.5)
+        est = ctost_ci(m, 1.0, 0.05)
+        assert est.lower == pytest.approx(-15.681879, abs=1e-6)
+        assert est.upper == pytest.approx(-7.931500, abs=1e-6)
+
+
+class TestNonConvergence:
+    """A batch solve that reports ok=False surfaces as NumericalError."""
+
+    MODEL = ConditionalNormal(0.0, 1.0, 1.0, lower=0.0)
+
+    @staticmethod
+    def _fail(solver):
+        def failing(*args, **kwargs):
+            *values, ok = solver(*args, **kwargs)
+            return (*values, np.zeros_like(ok))
+        return failing
+
+    def test_solve_umpu(self, monkeypatch):
+        monkeypatch.setattr(
+            batch, "batch_solve_umpu", self._fail(batch.batch_solve_umpu)
+        )
+        with pytest.raises(NumericalError):
+            solve_umpu(self.MODEL, 0.05)
+
+    @pytest.mark.parametrize(
+        "name,construct",
+        [("batch_umau_ci", umau_ci), ("batch_ctost_ci", ctost_ci)],
+    )
+    def test_intervals(self, monkeypatch, name, construct):
+        monkeypatch.setattr(batch, name, self._fail(getattr(batch, name)))
+        with pytest.raises(NumericalError, match="observed=0.7"):
+            construct(self.MODEL, 0.7, 0.05)
 
 
 class TestNaiveCi:

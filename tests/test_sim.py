@@ -15,13 +15,16 @@ import pytest
 from enrichci import (
     ConfigurationError,
     DecisionRule,
+    NumericalError,
     Scenario,
     Stage1Summary,
     TrialDesign,
+    batch,
     draw_stage1,
     draw_stage2,
     mc_error_band,
     run_scenario,
+    sim,
 )
 
 DESIGN = TrialDesign(k=2, p=(0.5, 0.5), n1=244, n2=244, sigma=8.0)
@@ -138,12 +141,43 @@ class TestRunScenario:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_across_thread_counts(self):
+        # 100-row chunks split every solved branch of 3000 replicates
+        # (390 to 498 rows each) into several pool tasks.
         sc = scenario(replicates=3000)
-        with mock.patch.dict(os.environ, {"ENRICH_CI_THREADS": "1"}):
-            res1 = run_scenario(sc)
-        with mock.patch.dict(os.environ, {"ENRICH_CI_THREADS": "7"}):
-            res7 = run_scenario(sc)
+        with mock.patch.object(sim, "_CHUNK", 100):
+            with mock.patch.dict(os.environ, {"ENRICH_CI_THREADS": "1"}):
+                res1 = run_scenario(sc)
+            with mock.patch.dict(os.environ, {"ENRICH_CI_THREADS": "7"}):
+                res7 = run_scenario(sc)
+        assert min(b.count for b in res1.branches if b.stats) > 300
         assert res1 == res7
+
+    @pytest.mark.parametrize(
+        "method,name", [("umau", "batch_umau_ci"), ("tost", "batch_ctost_ci")]
+    )
+    def test_non_convergence_names_replicate_and_seed(
+        self, monkeypatch, method, name
+    ):
+        # The batch solver reports its third row as failed. Branches are
+        # solved full-population first, so the error names the third
+        # replicate that continued with everyone.
+        solver = getattr(batch, name)
+
+        def failing(*args, **kwargs):
+            lo, hi, ok = solver(*args, **kwargs)
+            ok = ok.copy()
+            ok[2] = False
+            return lo, hi, ok
+
+        monkeypatch.setattr(batch, name, failing)
+        sc = scenario(replicates=300, seed=31, methods=(method,))
+        full = [
+            i for i in range(300)
+            if D2.decide(DESIGN, draw_stage1(sc, i)).label == "full"
+        ]
+        with pytest.raises(NumericalError) as info:
+            run_scenario(sc)
+        assert f"replicate {full[2]} (seed 31)" in str(info.value)
 
     def test_coverage_decomposition_identity(self):
         # The overall row is the proportion-weighted average of the
