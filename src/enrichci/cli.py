@@ -17,10 +17,12 @@ import sys
 
 from .condnorm import NumericalError
 from .designs import (
+    METHODS,
     ConfigurationError,
     Stage1Summary,
     Stage2Summary,
     TrialDesign,
+    check_methods,
     confidence_intervals,
     pooled_estimate,
 )
@@ -80,10 +82,8 @@ def _methods_from(config, args):
     if args.methods:
         methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     else:
-        methods = tuple(config.get("methods", ("naive", "umau", "tost")))
-    if not methods:
-        raise ConfigurationError("methods must be non-empty")
-    return methods
+        methods = config.get("methods", METHODS)
+    return check_methods(methods)
 
 
 def _per_subpopulation(values, key, k):
@@ -246,9 +246,8 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument(
             "--methods", help="comma-separated subset of naive,tost,umau"
@@ -259,11 +258,11 @@ def _build_parser():
         )
 
     p_ci = sub.add_parser("ci", help="intervals from observed summaries")
-    common(p_ci, needs_config=True)
+    common(p_ci)
     p_ci.set_defaults(func=cmd_ci)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
-    common(p_sim, needs_config=True)
+    common(p_sim)
     p_sim.add_argument("--seed", type=int, help="override scenario seed")
     p_sim.add_argument(
         "--replicates", type=int, help="override replicate count"
@@ -271,7 +270,7 @@ def _build_parser():
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ex = sub.add_parser("example", help="reproduce the worked example")
-    common(p_ex, needs_config=False)
+    p_ex.add_argument("--out", help="output path (default: stdout)")
     p_ex.set_defaults(func=cmd_example)
     return parser
 

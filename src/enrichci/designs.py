@@ -8,9 +8,12 @@ the rules, records those truncation bounds per estimation target, and
 pools stage summaries into the final estimates and intervals.
 """
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
+
+import numpy as np
 
 from .condnorm import ConditionalNormal
 from .intervals import ctost_ci, naive_ci, umau_ci
@@ -18,6 +21,24 @@ from .intervals import ctost_ci, naive_ci, umau_ci
 
 class ConfigurationError(ValueError):
     """Design, rule and data are inconsistent (wrong k, missing target...)."""
+
+
+METHODS = ("naive", "umau", "tost")
+
+
+def check_methods(methods):
+    """``methods`` as a tuple of distinct names from ``METHODS``."""
+    methods = tuple(methods)
+    if not methods or not set(methods) <= set(METHODS):
+        raise ConfigurationError(
+            f"methods must be a non-empty subset of {METHODS}, got {methods}"
+        )
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ConfigurationError(
+            f"methods must not repeat, got {', '.join(repeated)} twice or more"
+        )
+    return methods
 
 
 @dataclass(frozen=True)
@@ -101,12 +122,6 @@ class Stage1Summary:
         num = sum(design.p[m - 1] * self.means[m - 1] for m in members)
         return num / design.prevalence(members)
 
-    def z_statistics(self, design):
-        return tuple(
-            self.means[m - 1] / design.stage1_se((m,))
-            for m in range(1, design.k + 1)
-        )
-
 
 @dataclass(frozen=True)
 class Stage2Summary:
@@ -135,7 +150,8 @@ class TruncationTarget:
     statistic is the pooled mean over ``members``); otherwise it names the
     subpopulation whose effect is estimated alongside full continuation.
     ``unaltered`` marks decisions that constrain only a statistic
-    independent of this target, leaving its law untruncated.
+    independent of this target, leaving its law untruncated. In a
+    ``BatchDecision`` the bounds are per-draw arrays, checked by the engine.
     """
 
     name: str
@@ -148,7 +164,7 @@ class TruncationTarget:
     unaltered: bool = False
 
     def __post_init__(self):
-        if not self.lower < self.upper:
+        if np.ndim(self.lower) == 0 and not self.lower < self.upper:
             raise ConfigurationError(
                 f"target {self.name}: empty constraint "
                 f"({self.lower}, {self.upper})"
@@ -199,50 +215,64 @@ class InterimDecision:
         return self.targets[0].name
 
 
-def _selection_label(members, k=None):
-    members = tuple(members)
-    if k is not None and len(members) == k:
+def _selection_label(members, k):
+    if len(members) == k:
         return "full"
     if len(members) == 1:
         return f"sub{members[0]}"
-    lo, hi = members[0], members[-1]
-    if members == tuple(range(lo, hi + 1)) and lo == 1:
-        return f"sub1-{hi}"
-    return "+".join(f"sub{m}" for m in members)
+    return f"sub1-{members[-1]}"  # a leading block of the nested rule
 
 
-def _selected_target(design, members, lower, upper, name=None, unaltered=False):
-    return TruncationTarget(
-        name=name or _selection_label(members, design.k),
-        members=tuple(members),
-        lower=lower,
-        upper=upper,
-        se1=design.stage1_se(members),
-        se2=design.stage2_se_selected(),
-        unaltered=unaltered,
-    )
+@dataclass(frozen=True)
+class BatchDecision:
+    """An interim rule applied to N stage 1 draws at once.
 
-
-def _coprimary_targets(design, bounds):
-    """Per-subpopulation targets under full continuation.
-
-    ``bounds`` maps subpopulation index to its realized (l, u).
+    ``branch[i]`` indexes ``outcomes`` for draw ``i``. Each outcome is an
+    InterimDecision whose targets hold (N,) ``lower``/``upper`` arrays;
+    an outcome's bounds are meaningful on the draws that take it.
     """
-    out = []
-    for m in range(1, design.k + 1):
-        l, u = bounds[m]
-        out.append(
+
+    branch: np.ndarray
+    outcomes: tuple
+
+    def decision(self, i):
+        """The InterimDecision of draw ``i``, with scalar bounds."""
+        outcome = self.outcomes[self.branch[i]]
+        return InterimDecision(outcome.selected, tuple(
+            replace(t, lower=float(t.lower[i]), upper=float(t.upper[i]))
+            for t in outcome.targets
+        ))
+
+
+def _outcome(design, members, lower, upper, coprimary_lower=(),
+             unaltered=False):
+    """Outcome selecting ``members``; ``coprimary_lower`` holds, per
+    subpopulation, the lower bound of its co-primary target under full
+    continuation (the upper bound is infinite)."""
+    targets = [
+        TruncationTarget(
+            name=_selection_label(members, design.k),
+            members=members,
+            lower=lower,
+            upper=upper,
+            se1=design.stage1_se(members),
+            se2=design.stage2_se_selected(),
+            unaltered=unaltered,
+        )
+    ]
+    for m, sub_lower in enumerate(coprimary_lower, start=1):
+        targets.append(
             TruncationTarget(
                 name=f"delta{m}",
                 members=(m,),
-                lower=l,
-                upper=u,
+                lower=sub_lower,
+                upper=np.full_like(sub_lower, math.inf),
                 se1=design.stage1_se((m,)),
                 se2=design.stage2_se_coprimary(m),
                 coprimary=m,
             )
         )
-    return out
+    return InterimDecision(members, tuple(targets))
 
 
 def _require_two_populations(design, rule_name):
@@ -250,65 +280,67 @@ def _require_two_populations(design, rule_name):
         raise ConfigurationError(f"{rule_name} requires k=2, got k={design.k}")
 
 
-def apply_d1(design, s1, z_star, co_primary=False):
-    """Standardized-mean rule: keep everyone if the pooled Z-statistic
-    clears ``z_star``, otherwise enrich to the higher-Z subpopulation
-    (ties favor subpopulation 1)."""
+# The batch rules evaluate every statistic elementwise, in a fixed order
+# of operations (the pooled mean as (p1*m1 + p2*m2)/(p1 + p2), like
+# Stage1Summary.pooled_mean; Z as mean/SE; block sums as running sums), so
+# a draw's branch and bounds do not depend on the batch it is decided in.
+
+
+def batch_d1(design, means, z_star, co_primary=False):
+    """Standardized-mean rule over an (N, 2) matrix of stage 1 means:
+    keep everyone if the pooled Z-statistic clears ``z_star``, otherwise
+    enrich to the higher-Z subpopulation (ties favor subpopulation 1)."""
     _require_two_populations(design, "the Z-threshold rule")
+    n = len(means)
     p1, p2 = design.p
-    m1, m2 = s1.means
+    m1, m2 = means[:, 0], means[:, 1]
     full_se = design.stage1_se((1, 2))
-    z_full = s1.pooled_mean(design) / full_se
-    if z_full > z_star:
-        threshold = full_se * z_star
-        targets = [_selected_target(design, (1, 2), threshold, math.inf)]
-        if co_primary:
-            bounds = {
-                1: ((threshold - p2 * m2) / p1, math.inf),
-                2: ((threshold - p1 * m1) / p2, math.inf),
-            }
-            targets.extend(_coprimary_targets(design, bounds))
-        return InterimDecision((1, 2), tuple(targets))
-    z1, z2 = s1.z_statistics(design)
-    if z1 >= z2:
-        lower = math.sqrt(p2 / p1) * m2
-        upper = design.stage1_se((1, 2)) * z_star / p1 - (p2 / p1) * m2
-        target = _selected_target(design, (1,), lower, upper)
-        return InterimDecision((1,), (target,))
-    lower = math.sqrt(p1 / p2) * m1
-    upper = design.stage1_se((1, 2)) * z_star / p2 - (p1 / p2) * m1
-    target = _selected_target(design, (2,), lower, upper)
-    return InterimDecision((2,), (target,))
+    threshold = full_se * z_star
+    outcomes = (
+        _outcome(design, (1, 2), np.full(n, threshold), np.full(n, math.inf),
+                 ((threshold - p2 * m2) / p1, (threshold - p1 * m1) / p2)
+                 if co_primary else ()),
+        _outcome(design, (1,), math.sqrt(p2 / p1) * m2,
+                 threshold / p1 - (p2 / p1) * m2),
+        _outcome(design, (2,), math.sqrt(p1 / p2) * m1,
+                 threshold / p2 - (p1 / p2) * m1),
+    )
+    z_full = (p1 * m1 + p2 * m2) / (p1 + p2) / full_se
+    z1 = m1 / design.stage1_se((1,))
+    z2 = m2 / design.stage1_se((2,))
+    branch = np.where(z_full > z_star, 0, np.where(z1 >= z2, 1, 2))
+    return BatchDecision(branch, outcomes)
 
 
-def apply_d2(design, s1, delta_star, co_primary=False):
-    """Raw-mean rule: keep everyone if the pooled stage 1 mean clears
-    ``delta_star``; otherwise enrich to the best subpopulation if it
-    clears the threshold; otherwise stop for futility."""
+def batch_d2(design, means, delta_star, co_primary=False):
+    """Raw-mean rule over an (N, 2) matrix of stage 1 means: keep
+    everyone if the pooled mean clears ``delta_star``; otherwise enrich to
+    the best subpopulation (ties favor subpopulation 1) if it clears the
+    threshold; otherwise stop for futility."""
     _require_two_populations(design, "the mean-threshold rule")
+    n = len(means)
     p1, p2 = design.p
-    m1, m2 = s1.means
-    if s1.pooled_mean(design) > delta_star:
-        targets = [_selected_target(design, (1, 2), delta_star, math.inf)]
-        if co_primary:
-            bounds = {
-                1: ((delta_star - p2 * m2) / p1, math.inf),
-                2: ((delta_star - p1 * m1) / p2, math.inf),
-            }
-            targets.extend(_coprimary_targets(design, bounds))
-        return InterimDecision((1, 2), tuple(targets))
-    if max(m1, m2) > delta_star:
-        if m1 >= m2:
-            upper = (delta_star - p2 * m2) / p1
-            target = _selected_target(design, (1,), delta_star, upper)
-            return InterimDecision((1,), (target,))
-        upper = (delta_star - p1 * m1) / p2
-        target = _selected_target(design, (2,), delta_star, upper)
-        return InterimDecision((2,), (target,))
-    return InterimDecision((), ())
+    m1, m2 = means[:, 0], means[:, 1]
+    threshold = np.full(n, delta_star)
+    # Subpopulation m's enrichment upper bound is also the lower bound of
+    # its co-primary target under full continuation.
+    upper1 = (delta_star - p2 * m2) / p1
+    upper2 = (delta_star - p1 * m1) / p2
+    outcomes = (
+        _outcome(design, (1, 2), threshold, np.full(n, math.inf),
+                 (upper1, upper2) if co_primary else ()),
+        _outcome(design, (1,), threshold, upper1),
+        _outcome(design, (2,), threshold, upper2),
+        InterimDecision((), ()),
+    )
+    pooled = (p1 * m1 + p2 * m2) / (p1 + p2)
+    enrich = np.where(m1 >= m2, 1, 2)
+    enrich = np.where(np.maximum(m1, m2) > delta_star, enrich, 3)
+    branch = np.where(pooled > delta_star, 0, enrich)
+    return BatchDecision(branch, outcomes)
 
 
-def apply_kimani2015(design, s1, delta_star):
+def batch_kimani2015(design, means, delta_star):
     """Enrich to subpopulation 1 when its stage 1 advantage over the full
     population clears ``delta_star``; otherwise continue with everyone.
 
@@ -317,48 +349,68 @@ def apply_kimani2015(design, s1, delta_star):
     full-population target is marked untruncated.
     """
     _require_two_populations(design, "the subgroup-advantage rule")
-    p2 = design.p[1]
-    m1, m2 = s1.means
-    advantage = m1 - s1.pooled_mean(design)  # equals p2 * (m1 - m2)
-    if advantage > delta_star:
-        lower = m2 + delta_star / p2
-        target = _selected_target(design, (1,), lower, math.inf)
-        return InterimDecision((1,), (target,))
-    target = _selected_target(
-        design, (1, 2), -math.inf, math.inf, unaltered=True
+    n = len(means)
+    p1, p2 = design.p
+    m1, m2 = means[:, 0], means[:, 1]
+    advantage = m1 - (p1 * m1 + p2 * m2) / (p1 + p2)  # equals p2 * (m1 - m2)
+    outcomes = (
+        _outcome(design, (1, 2), np.full(n, -math.inf), np.full(n, math.inf),
+                 unaltered=True),
+        _outcome(design, (1,), m2 + delta_star / p2, np.full(n, math.inf)),
     )
-    return InterimDecision((1, 2), (target,))
+    return BatchDecision(np.where(advantage > delta_star, 1, 0), outcomes)
 
 
-def apply_kimani2018(design, s1, delta_star):
+def batch_kimani2018(design, means, delta_star):
     """Nested-subgroup rule: order subpopulations by presumed effect and
     select the largest leading block {1..m} whose pooled stage 1 mean
     clears ``delta_star`` while every larger block fails; stop if no
-    block qualifies."""
-    p = design.p
-    means = s1.means
-    k = design.k
-    cum_p = [0.0]
-    cum_pm = [0.0]
+    block qualifies. Outcome ``m`` selects block {1..m}; outcome 0 stops."""
+    n, k = len(means), design.k
+    cum_p = list(itertools.accumulate(design.p))
+    cum_pm = np.cumsum(np.asarray(design.p) * means, axis=1)
+    outcomes = [InterimDecision((), ())]
     for m in range(1, k + 1):
-        cum_p.append(cum_p[-1] + p[m - 1])
-        cum_pm.append(cum_pm[-1] + p[m - 1] * means[m - 1])
-    for m in range(k, 0, -1):
-        if cum_pm[m] / cum_p[m] > delta_star:
-            if m == k:
-                upper = math.inf
-            else:
-                # Rearranged block-mean constraints for m' > m:
-                # block [j] fails iff the [m] statistic is at most
-                # (p_[j] delta* - sum_{m+1..j} p_i mean_i) / p_[m].
-                upper = min(
-                    (cum_p[j] * delta_star - (cum_pm[j] - cum_pm[m])) / cum_p[m]
-                    for j in range(m + 1, k + 1)
-                )
-            members = tuple(range(1, m + 1))
-            target = _selected_target(design, members, delta_star, upper)
-            return InterimDecision(members, (target,))
-    return InterimDecision((), ())
+        # Rearranged block-mean constraints for m' > m: block [j] fails
+        # iff the [m] statistic is at most
+        # (p_[j] delta* - sum_{m+1..j} p_i mean_i) / p_[m].
+        upper = np.full(n, math.inf)
+        for j in range(m + 1, k + 1):
+            beyond = cum_pm[:, j - 1] - cum_pm[:, m - 1]
+            upper = np.minimum(
+                upper, (cum_p[j - 1] * delta_star - beyond) / cum_p[m - 1]
+            )
+        outcomes.append(_outcome(
+            design, tuple(range(1, m + 1)), np.full(n, delta_star), upper
+        ))
+    qualifies = cum_pm / np.asarray(cum_p) > delta_star
+    largest = k - np.argmax(qualifies[:, ::-1], axis=1)
+    branch = np.where(qualifies.any(axis=1), largest, 0)
+    return BatchDecision(branch, tuple(outcomes))
+
+
+def apply_d1(design, s1, z_star, co_primary=False):
+    """``batch_d1`` for one stage 1 summary."""
+    means = np.array([s1.means])
+    return batch_d1(design, means, z_star, co_primary).decision(0)
+
+
+def apply_d2(design, s1, delta_star, co_primary=False):
+    """``batch_d2`` for one stage 1 summary."""
+    means = np.array([s1.means])
+    return batch_d2(design, means, delta_star, co_primary).decision(0)
+
+
+def apply_kimani2015(design, s1, delta_star):
+    """``batch_kimani2015`` for one stage 1 summary."""
+    means = np.array([s1.means])
+    return batch_kimani2015(design, means, delta_star).decision(0)
+
+
+def apply_kimani2018(design, s1, delta_star):
+    """``batch_kimani2018`` for one stage 1 summary."""
+    means = np.array([s1.means])
+    return batch_kimani2018(design, means, delta_star).decision(0)
 
 
 def pooled_estimate(design, decision, s1, s2, target):
@@ -386,8 +438,7 @@ def confidence_intervals(design, decision, s1, s2, methods, alpha=None):
         raise ConfigurationError(
             "a futility stop has no estimand; no intervals are defined"
         )
-    if not methods:
-        raise ConfigurationError("methods must be non-empty")
+    methods = check_methods(methods)
     alpha = design.alpha if alpha is None else alpha
     out = []
     for target in decision.targets:
@@ -403,8 +454,8 @@ def confidence_intervals(design, decision, s1, s2, methods, alpha=None):
                 )
             elif method == "umau":
                 out.append(umau_ci(model, observed, alpha, target=target.name))
-            elif method == "tost":
-                out.append(ctost_ci(model, observed, alpha, target=target.name))
             else:
-                raise ConfigurationError(f"unknown method {method!r}")
+                out.append(
+                    ctost_ci(model, observed, alpha, target=target.name)
+                )
     return out

@@ -19,17 +19,18 @@ from scipy.special import ndtri
 from . import batch
 from .condnorm import NumericalError
 from .designs import (
+    METHODS,
     ConfigurationError,
     Stage1Summary,
     Stage2Summary,
-    apply_d1,
-    apply_d2,
-    apply_kimani2015,
-    apply_kimani2018,
+    batch_d1,
+    batch_d2,
+    batch_kimani2015,
+    batch_kimani2018,
+    check_methods,
 )
 
 _VARIANTS = ("d1", "d2", "kimani2015", "kimani2018")
-_METHODS = ("naive", "umau", "tost")
 
 #: Loosened root tolerance for simulation solves; endpoint error stays
 #: around 1e-8 pooled SDs, far below any coverage resolution.
@@ -65,14 +66,19 @@ class DecisionRule:
                 f"not {self.variant!r}"
             )
 
-    def decide(self, design, s1):
+    def decide_batch(self, design, means):
+        """BatchDecision for an (N, k) matrix of stage 1 means."""
         if self.variant == "d1":
-            return apply_d1(design, s1, self.threshold, self.co_primary)
+            return batch_d1(design, means, self.threshold, self.co_primary)
         if self.variant == "d2":
-            return apply_d2(design, s1, self.threshold, self.co_primary)
+            return batch_d2(design, means, self.threshold, self.co_primary)
         if self.variant == "kimani2015":
-            return apply_kimani2015(design, s1, self.threshold)
-        return apply_kimani2018(design, s1, self.threshold)
+            return batch_kimani2015(design, means, self.threshold)
+        return batch_kimani2018(design, means, self.threshold)
+
+    def decide(self, design, s1):
+        """InterimDecision for one stage 1 summary."""
+        return self.decide_batch(design, np.array([s1.means])).decision(0)
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ class Scenario:
     true_deltas: tuple
     replicates: int
     seed: int
-    methods: tuple = _METHODS
+    methods: tuple = METHODS
 
     def __post_init__(self):
         deltas = tuple(float(v) for v in self.true_deltas)
@@ -99,15 +105,7 @@ class Scenario:
             )
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigurationError(f"seed must be a u64, got {self.seed}")
-        methods = tuple(self.methods)
-        if not methods:
-            raise ConfigurationError("methods must be non-empty")
-        for m in methods:
-            if m not in _METHODS:
-                raise ConfigurationError(
-                    f"methods must be among {_METHODS}, got {m!r}"
-                )
-        object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "methods", check_methods(self.methods))
 
 
 @dataclass(frozen=True)
@@ -243,95 +241,70 @@ def _branch_key(label):
     return (1, label)
 
 
-def _solve_method(method, observed, alpha, se1, se2, lower, upper):
-    """Endpoint arrays and ok mask for umau or tost over one chunk."""
-    if method == "tost":
-        return batch.batch_ctost_ci(observed, alpha, se1, se2, lower, upper)
-    return batch.batch_umau_ci(
-        observed, alpha, se1, se2, lower, upper, tol_scale=_SIM_TOL_SCALE
-    )
-
-
-def _group_stats(scenario, group, n_total, pool):
-    """BranchResult list for one decision branch."""
-    design = scenario.design
-    alpha = design.alpha
-    seed = scenario.seed
-    idx = np.asarray(group["idx"])
+def _target_sums(scenario, target, idx, observed, lower, upper, pool):
+    """Covered-count and width sums per method for one target over the
+    replicates ``idx`` of its branch, and the naive width sum."""
+    alpha = scenario.design.alpha
+    se1, se2 = target.se1, target.se2
     count = idx.size
-    proportion = count / n_total
-    prop_half = _mc_halfwidth(proportion, n_total)
-    out = []
-    for tgt in group["targets"]:
-        observed = tgt["observed"]
-        lower, upper = tgt["lower"], tgt["upper"]
-        se1, se2 = tgt["se1"], tgt["se2"]
-        truth = tgt["truth"]
-        truncated = not tgt["unaltered"] and (
-            np.isfinite(lower).any() or np.isfinite(upper).any()
+    truth = target.true_value(scenario.design, scenario.true_deltas)
+    truncated = not target.unaltered and (
+        np.isfinite(lower).any() or np.isfinite(upper).any()
+    )
+    naive_lo, naive_hi = batch.batch_naive_ci(observed, alpha, se1, se2)
+
+    def solve(method):
+        if method == "naive" or not truncated:
+            return naive_lo, naive_hi
+        chunks = range(0, count, _CHUNK)
+
+        def run(s):
+            chunk = slice(s, s + _CHUNK)
+            args = (observed[chunk], alpha, se1, se2, lower[chunk],
+                    upper[chunk])
+            if method == "tost":
+                return batch.batch_ctost_ci(*args)
+            return batch.batch_umau_ci(*args, tol_scale=_SIM_TOL_SCALE)
+        results = list(pool.map(run, chunks)) if pool else [
+            run(s) for s in chunks
+        ]
+        lo = np.concatenate([r[0] for r in results])
+        hi = np.concatenate([r[1] for r in results])
+        bad = np.flatnonzero(~np.concatenate([r[2] for r in results]))
+        if bad.size:
+            raise NumericalError(
+                f"{method} interval for target {target.name} did not "
+                f"converge at replicate {idx[bad[0]]} "
+                f"(seed {scenario.seed}); {bad.size} replicate(s) failed"
+            )
+        return lo, hi
+
+    sums = {}
+    for method in scenario.methods:
+        lo, hi = solve(method)
+        sums[method] = (
+            float(np.sum((lo <= truth) & (truth <= hi))),
+            float(np.sum(hi - lo)),
         )
-        naive_lo, naive_hi = batch.batch_naive_ci(observed, alpha, se1, se2)
-        naive_width = float(np.mean(naive_hi - naive_lo))
+    return sums, float(np.sum(naive_hi - naive_lo))
 
-        def solve(method):
-            if method == "naive" or not truncated:
-                return naive_lo.copy(), naive_hi.copy()
-            chunks = range(0, count, _CHUNK)
 
-            def run(s):
-                e = min(s + _CHUNK, count)
-                return _solve_method(
-                    method, observed[s:e], alpha, se1, se2,
-                    lower[s:e], upper[s:e],
-                )
-            results = list(pool.map(run, chunks)) if pool else [
-                run(s) for s in chunks
-            ]
-            lo = np.concatenate([r[0] for r in results])
-            hi = np.concatenate([r[1] for r in results])
-            bad = np.flatnonzero(~np.concatenate([r[2] for r in results]))
-            if bad.size:
-                raise NumericalError(
-                    f"{method} interval for target {tgt['name']} did not "
-                    f"converge at replicate {idx[bad[0]]} (seed {seed}); "
-                    f"{bad.size} replicate(s) failed"
-                )
-            return lo, hi
-
-        stats = []
-        endpoints = {}
-        sums = {}
-        for method in scenario.methods:
-            lo, hi = solve(method)
-            endpoints[method] = (lo, hi)
-            covered = float(np.mean((lo <= truth) & (truth <= hi)))
-            width = float(np.mean(hi - lo))
-            sums[method] = (
-                float(np.sum((lo <= truth) & (truth <= hi))),
-                float(np.sum(hi - lo)),
-            )
-            stats.append(
-                MethodStats(
-                    method=method,
-                    coverage=covered,
-                    mean_width=width,
-                    width_ratio=width / naive_width,
-                    mc_halfwidth=_mc_halfwidth(covered, count),
-                )
-            )
-        out.append(
-            BranchResult(
-                branch=group["label"],
-                target=tgt["name"],
-                count=count,
-                proportion=proportion,
-                proportion_halfwidth=prop_half,
-                stats=tuple(stats),
+def _method_stats(methods, sums, naive_width_sum, count):
+    naive_width = naive_width_sum / count
+    stats = []
+    for method in methods:
+        coverage = sums[method][0] / count
+        width = sums[method][1] / count
+        stats.append(
+            MethodStats(
+                method=method,
+                coverage=coverage,
+                mean_width=width,
+                width_ratio=width / naive_width,
+                mc_halfwidth=_mc_halfwidth(coverage, count),
             )
         )
-        tgt["sums"] = sums
-        tgt["naive_width_sum"] = float(np.sum(naive_hi - naive_lo))
-    return out
+    return tuple(stats)
 
 
 def run_scenario(scenario):
@@ -343,56 +316,40 @@ def run_scenario(scenario):
     k = design.k
     n_total = scenario.replicates
     stage1, u = _stage1_matrix(scenario, 0, n_total)
-
-    co_primary = scenario.rule.co_primary
-    groups = {}
-    for i in range(n_total):
-        s1 = Stage1Summary(tuple(stage1[i]))
-        decision = scenario.rule.decide(design, s1)
-        label = decision.label
-        g = groups.get(label)
-        if g is None:
-            g = {"label": label, "idx": [], "decisions": []}
-            groups[label] = g
-        g["idx"].append(i)
-        g["decisions"].append(decision)
+    decided = scenario.rule.decide_batch(design, stage1)
+    outcomes = decided.outcomes
+    counts = np.bincount(decided.branch, minlength=len(outcomes))
 
     sel_se2 = design.stage2_se_selected()
     branch_results = []
-    agg = {m: [0.0, 0.0] for m in scenario.methods}  # covered, width sums
-    agg_naive_width = 0.0
-    agg_count = 0
+    # Covered and width sums of the selected-population targets.
+    totals = {m: (0.0, 0.0) for m in scenario.methods}
+    total_naive_width = 0.0
+    total_count = 0
 
     threads = _n_threads()
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
-        for label in sorted(groups, key=_branch_key):
-            g = groups[label]
-            idx = np.asarray(g["idx"])
-            if label == "stop":
-                proportion = idx.size / n_total
-                branch_results.append(
-                    BranchResult(
-                        branch="stop",
-                        target="stop",
-                        count=idx.size,
-                        proportion=proportion,
-                        proportion_halfwidth=_mc_halfwidth(proportion, n_total),
-                        stats=(),
-                    )
-                )
+        for j in sorted(np.flatnonzero(counts),
+                        key=lambda j: _branch_key(outcomes[j].label)):
+            outcome = outcomes[j]
+            idx = np.flatnonzero(decided.branch == j)
+            count = idx.size
+            proportion = count / n_total
+            prop_half = _mc_halfwidth(proportion, n_total)
+            if outcome.stopped:
+                branch_results.append(BranchResult(
+                    "stop", "stop", count, proportion, prop_half, ()
+                ))
                 continue
-            decisions = g["decisions"]
-            proto = decisions[0]
-            selected = proto.selected
+            selected = outcome.selected
             p_sel = design.prevalence(selected)
             true_sel = sum(
                 design.p[m - 1] * scenario.true_deltas[m - 1] for m in selected
             ) / p_sel
 
             # Stage 2 draws for this branch.
-            use_subs = any(t.coprimary is not None for t in proto.targets)
-            if use_subs:
+            if any(t.coprimary is not None for t in outcome.targets):
                 z = ndtri(u[idx, k + 1:2 * k + 1])
                 ses2 = np.array(
                     [design.stage2_se_coprimary(m) for m in range(1, k + 1)]
@@ -403,64 +360,52 @@ def run_scenario(scenario):
                 subs2 = None
                 sel2 = true_sel + sel_se2 * ndtri(u[idx, k])
 
-            g["targets"] = []
-            for j, t0 in enumerate(proto.targets):
-                lower = np.array([d.targets[j].lower for d in decisions])
-                upper = np.array([d.targets[j].upper for d in decisions])
-                if t0.coprimary is None:
-                    members = np.asarray(t0.members) - 1
+            for t in outcome.targets:
+                lower, upper = t.lower[idx], t.upper[idx]
+                bad = np.flatnonzero(~(lower < upper))
+                if bad.size:
+                    raise ConfigurationError(
+                        f"target {t.name}: empty constraint "
+                        f"({lower[bad[0]]}, {upper[bad[0]]}) at replicate "
+                        f"{idx[bad[0]]} (seed {scenario.seed})"
+                    )
+                if t.coprimary is None:
+                    members = np.asarray(t.members) - 1
                     w = np.asarray(design.p)[members] / p_sel
                     v1 = stage1[idx][:, members] @ w
                     v2 = sel2
                 else:
-                    v1 = stage1[idx, t0.coprimary - 1]
-                    v2 = subs2[:, t0.coprimary - 1]
-                tau1 = 1.0 / t0.se1**2
-                tau2 = 1.0 / t0.se2**2
+                    v1 = stage1[idx, t.coprimary - 1]
+                    v2 = subs2[:, t.coprimary - 1]
+                tau1 = 1.0 / t.se1**2
+                tau2 = 1.0 / t.se2**2
                 observed = (tau1 * v1 + tau2 * v2) / (tau1 + tau2)
-                g["targets"].append({
-                    "name": t0.name,
-                    "observed": observed,
-                    "lower": lower,
-                    "upper": upper,
-                    "se1": t0.se1,
-                    "se2": t0.se2,
-                    "unaltered": t0.unaltered,
-                    "truth": t0.true_value(design, scenario.true_deltas),
-                })
-            branch_results.extend(_group_stats(scenario, g, n_total, pool))
-            # Selected-population target feeds the overall row.
-            main = g["targets"][0]
-            agg_count += idx.size
-            agg_naive_width += main["naive_width_sum"]
-            for m in scenario.methods:
-                cov_sum, width_sum = main["sums"][m]
-                agg[m][0] += cov_sum
-                agg[m][1] += width_sum
+                sums, naive_width = _target_sums(
+                    scenario, t, idx, observed, lower, upper, pool
+                )
+                branch_results.append(BranchResult(
+                    outcome.label, t.name, count, proportion, prop_half,
+                    _method_stats(scenario.methods, sums, naive_width, count),
+                ))
+                if t is outcome.targets[0]:  # selected population
+                    total_count += count
+                    total_naive_width += naive_width
+                    for m, (covered, width) in sums.items():
+                        totals[m] = (
+                            totals[m][0] + covered, totals[m][1] + width
+                        )
     finally:
         if pool:
             pool.shutdown()
 
-    overall = []
-    if agg_count:
-        for m in scenario.methods:
-            coverage = agg[m][0] / agg_count
-            width = agg[m][1] / agg_count
-            overall.append(
-                MethodStats(
-                    method=m,
-                    coverage=coverage,
-                    mean_width=width,
-                    width_ratio=width / (agg_naive_width / agg_count),
-                    mc_halfwidth=_mc_halfwidth(coverage, agg_count),
-                )
-            )
-
+    overall = _method_stats(
+        scenario.methods, totals, total_naive_width, total_count
+    ) if total_count else ()
     result = SimResult(
         replicates=n_total,
         seed=scenario.seed,
         branches=tuple(branch_results),
-        overall=tuple(overall),
+        overall=overall,
     )
     _check_proportions(result)
     return result

@@ -5,10 +5,13 @@ error. All tables are fixed 6-decimal CSV for golden stability.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from enrichci.cli import main
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 CI_CONFIG = {
     "k": 2,
@@ -122,6 +125,14 @@ def test_simulation_flags_only_on_simulate(capsys, command, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--methods", "naive"], ["--co-primary"]])
+def test_trial_flags_not_on_example(capsys, flags):
+    with pytest.raises(SystemExit) as info:
+        main(["example"] + flags)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestCmdSimulate:
     def test_csv_schema_and_roundtrip(self, tmp_path, capsys):
         from enrichci import DecisionRule, Scenario, TrialDesign, run_scenario
@@ -200,6 +211,22 @@ class TestCmdSimulate:
             # 99% binomial band at this branch's replicate count.
             band = 2.576 * (0.95 * 0.05 / (prop * 20_000)) ** 0.5
             assert abs(cov - 0.95) <= band, line
+
+    @pytest.mark.parametrize("name", sorted(
+        p.stem for p in DATA_DIR.glob("simulate-*.json")
+    ))
+    def test_golden_csv(self, tmp_path, name):
+        # Outputs stored from an earlier version of the package: a change
+        # to the draws, decisions, bounds or solvers that moves any printed
+        # digit fails here. Regenerate a CSV (simulate --config NAME.json
+        # --out NAME.csv) only for an intended change of results.
+        out = tmp_path / "out.csv"
+        code = main([
+            "simulate", "--config", str(DATA_DIR / f"{name}.json"),
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == (DATA_DIR / f"{name}.csv").read_bytes()
 
     def test_invalid_rule_type(self, tmp_path, capsys):
         payload = dict(SIM_CONFIG, rule={"type": "d9", "threshold": 1.0})

@@ -1,9 +1,11 @@
 """Tests for trial designs, interim decision rules, and the trial-level
 interval assembly.
 
-Decision rules are cross-checked two ways: against hand-evaluated bound
-formulas on fixed inputs, and against an independent reimplementation of
-each rule's primary (statistic-threshold) form on random draws.
+Decision rules are cross-checked three ways: against hand-evaluated bound
+formulas on fixed inputs, against an independent reimplementation of
+each rule's primary (statistic-threshold) form on random draws, and, for
+the batch rules, against per-draw scalar references grouped one replicate
+at a time.
 """
 
 import math
@@ -22,6 +24,12 @@ from enrichci import (
     apply_kimani2018,
     confidence_intervals,
     pooled_estimate,
+)
+from enrichci.designs import (
+    batch_d1,
+    batch_d2,
+    batch_kimani2015,
+    batch_kimani2018,
 )
 
 SIM_DESIGN = TrialDesign(k=2, p=(0.5, 0.5), n1=244, n2=244, sigma=8.0)
@@ -249,6 +257,15 @@ class TestConfidenceIntervals:
         assert umau.upper == pytest.approx(naive.upper, abs=1e-6)
         assert tost.lower == pytest.approx(naive.lower, abs=1e-6)
 
+    def test_repeated_methods_rejected(self):
+        s1 = Stage1Summary((0.113, 0.013))
+        dec = apply_d2(EXAMPLE_DESIGN, s1, 0.025)
+        with pytest.raises(ConfigurationError, match="naive"):
+            confidence_intervals(
+                EXAMPLE_DESIGN, dec, s1, Stage2Summary(0.045),
+                ("naive", "tost", "naive"),
+            )
+
     def test_futility_decision_rejected(self):
         dec = apply_d2(EXAMPLE_DESIGN, Stage1Summary((0.01, 0.02)), 0.025)
         with pytest.raises(ConfigurationError):
@@ -342,3 +359,168 @@ class TestPartitionProperties:
                 t = dec.targets[0]
                 v = t.stage1_value(design, s1)
                 assert t.lower <= v <= t.upper
+
+
+# Per-draw references: each rule evaluated in Python floats, one stage 1
+# summary at a time, with the arithmetic the batch rules must reproduce bit
+# for bit. They return the branch label and, per target, the (lower,
+# upper) truncation bounds.
+
+
+def _reference_d1(design, means, z_star, co_primary):
+    p1, p2 = design.p
+    m1, m2 = means
+    full_se = design.stage1_se((1, 2))
+    z_full = Stage1Summary(means).pooled_mean(design) / full_se
+    if z_full > z_star:
+        threshold = full_se * z_star
+        bounds = {"full": (threshold, math.inf)}
+        if co_primary:
+            bounds["delta1"] = ((threshold - p2 * m2) / p1, math.inf)
+            bounds["delta2"] = ((threshold - p1 * m1) / p2, math.inf)
+        return "full", bounds
+    z1, z2 = (means[m - 1] / design.stage1_se((m,)) for m in (1, 2))
+    if z1 >= z2:
+        lower = math.sqrt(p2 / p1) * m2
+        upper = design.stage1_se((1, 2)) * z_star / p1 - (p2 / p1) * m2
+        return "sub1", {"sub1": (lower, upper)}
+    lower = math.sqrt(p1 / p2) * m1
+    upper = design.stage1_se((1, 2)) * z_star / p2 - (p1 / p2) * m1
+    return "sub2", {"sub2": (lower, upper)}
+
+
+def _reference_d2(design, means, delta_star, co_primary):
+    p1, p2 = design.p
+    m1, m2 = means
+    if Stage1Summary(means).pooled_mean(design) > delta_star:
+        bounds = {"full": (delta_star, math.inf)}
+        if co_primary:
+            bounds["delta1"] = ((delta_star - p2 * m2) / p1, math.inf)
+            bounds["delta2"] = ((delta_star - p1 * m1) / p2, math.inf)
+        return "full", bounds
+    if max(m1, m2) > delta_star:
+        if m1 >= m2:
+            return "sub1", {"sub1": (delta_star, (delta_star - p2 * m2) / p1)}
+        return "sub2", {"sub2": (delta_star, (delta_star - p1 * m1) / p2)}
+    return "stop", {}
+
+
+def _reference_kimani2015(design, means, delta_star):
+    p2 = design.p[1]
+    m1, m2 = means
+    advantage = m1 - Stage1Summary(means).pooled_mean(design)
+    if advantage > delta_star:
+        return "sub1", {"sub1": (m2 + delta_star / p2, math.inf)}
+    return "full", {"full": (-math.inf, math.inf)}
+
+
+def _reference_kimani2018(design, means, delta_star):
+    p = design.p
+    k = design.k
+    cum_p = [0.0]
+    cum_pm = [0.0]
+    for m in range(1, k + 1):
+        cum_p.append(cum_p[-1] + p[m - 1])
+        cum_pm.append(cum_pm[-1] + p[m - 1] * means[m - 1])
+    for m in range(k, 0, -1):
+        if cum_pm[m] / cum_p[m] > delta_star:
+            if m == k:
+                return "full", {"full": (delta_star, math.inf)}
+            upper = min(
+                (cum_p[j] * delta_star - (cum_pm[j] - cum_pm[m])) / cum_p[m]
+                for j in range(m + 1, k + 1)
+            )
+            label = "sub1" if m == 1 else f"sub1-{m}"
+            return label, {label: (delta_star, upper)}
+    return "stop", {}
+
+
+def _reference_groups(reference, design, means, *args):
+    """Per-replicate grouping loop: label -> (replicate ids, target ->
+    (lowers, uppers)), filled one draw at a time."""
+    groups = {}
+    for i, row in enumerate(means):
+        label, bounds = reference(design, tuple(float(v) for v in row), *args)
+        idx, targets = groups.setdefault(label, ([], {}))
+        idx.append(i)
+        for name, (lower, upper) in bounds.items():
+            lowers, uppers = targets.setdefault(name, ([], []))
+            lowers.append(lower)
+            uppers.append(upper)
+    return groups
+
+
+def _batch_groups(decided):
+    groups = {}
+    for j, outcome in enumerate(decided.outcomes):
+        idx = np.flatnonzero(decided.branch == j)
+        if idx.size:
+            groups[outcome.label] = (list(idx), {
+                t.name: (list(t.lower[idx]), list(t.upper[idx]))
+                for t in outcome.targets
+            })
+    return groups
+
+
+def _tie_draws(design, unit, seed, n=2000):
+    """Normal draws around ``unit`` (the rule's threshold on the stage 1
+    mean scale), draws from a coarse grid of its multiples, and draws
+    within a few ulps of it. These hit exact ties: equal means, equal Z,
+    pooled and block means equal to the threshold, and means just above
+    it whose pooled mean rounds onto it."""
+    rng = np.random.default_rng(seed)
+    k = design.k
+    se = np.array([design.stage1_se((m,)) for m in range(1, k + 1)])
+    normal = unit + rng.normal(0.0, 1.0, size=(n, k)) * se
+    grid = rng.integers(-2, 5, size=(n, k)) * (0.5 * unit)
+    near = unit + np.arange(-3, 4) * np.spacing(unit)
+    return np.concatenate([
+        normal, grid, rng.choice(near, size=(n, k)),
+        np.repeat(near[:, None], k, axis=1),
+    ])
+
+
+EQUAL = TrialDesign(k=2, p=(0.5, 0.5), n1=244, n2=244, sigma=8.0)
+UNEQUAL = TrialDesign(k=2, p=(0.3, 0.7), n1=244, n2=244, sigma=8.0)
+NESTED = {
+    3: TrialDesign(k=3, p=(0.4, 0.35, 0.25), n1=90, n2=90, sigma=1.0),
+    4: TrialDesign(k=4, p=(0.1, 0.2, 0.3, 0.4), n1=90, n2=90, sigma=1.0),
+}
+# name -> (batch rule, per-draw reference, design, rule arguments, the
+# threshold on the stage 1 mean scale)
+BATCH_CASES = {}
+for d_name, design in [("equal", EQUAL), ("unequal", UNEQUAL)]:
+    z_unit = design.stage1_se((1, 2))
+    for cp in (False, True):
+        suffix = f"{d_name}{'-coprimary' if cp else ''}"
+        BATCH_CASES[f"d1-{suffix}"] = (
+            batch_d1, _reference_d1, design, (1.0, cp), z_unit
+        )
+        BATCH_CASES[f"d2-{suffix}"] = (
+            batch_d2, _reference_d2, design, (1.0, cp), 1.0
+        )
+    BATCH_CASES[f"kimani2015-{d_name}"] = (
+        batch_kimani2015, _reference_kimani2015, design, (0.5,), 0.5
+    )
+for k, design in [(2, UNEQUAL), *NESTED.items()]:
+    BATCH_CASES[f"kimani2018-k{k}"] = (
+        batch_kimani2018, _reference_kimani2018, design, (0.3,), 0.3
+    )
+
+
+class TestBatchRules:
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_matches_per_draw_reference(self, case):
+        batch, reference, design, args, unit = BATCH_CASES[case]
+        means = _tie_draws(design, unit, seed=len(case))
+        decided = batch(design, means, *args)
+        expected = _reference_groups(reference, design, means, *args)
+        assert _batch_groups(decided) == expected
+        assert len(expected) >= 2
+
+    def test_scalar_rules_are_size_one_batches(self):
+        means = np.random.default_rng(5).normal(1.0, 1.5, size=(20, 2))
+        decided = batch_d2(UNEQUAL, means, 1.0, co_primary=True)
+        for i, row in enumerate(means):
+            dec = apply_d2(UNEQUAL, Stage1Summary(tuple(row)), 1.0, True)
+            assert dec == decided.decision(i)

@@ -44,6 +44,11 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             Scenario(DESIGN, D2, (0.0, 0.0), 10, 1, methods=("bayes",))
 
+    def test_repeated_method(self):
+        # A repeated method used to add its sums to the overall row twice.
+        with pytest.raises(ConfigurationError, match="naive"):
+            Scenario(DESIGN, D2, (0.0, 0.0), 10, 1, methods=("naive", "naive"))
+
 
 class TestDrawStage1:
     def test_unbiased_and_correct_spread(self):
@@ -178,6 +183,25 @@ class TestRunScenario:
         with pytest.raises(NumericalError) as info:
             run_scenario(sc)
         assert f"replicate {full[2]} (seed 31)" in str(info.value)
+
+    def test_empty_constraint_names_replicate_and_seed(self, monkeypatch):
+        # An interim rule that yields lower == upper for one replicate of a
+        # branch is rejected before any interval is built.
+        decide_batch = DecisionRule.decide_batch
+
+        def collapsing(rule, design, means):
+            decided = decide_batch(rule, design, means)
+            target = decided.outcomes[decided.branch[7]].targets[0]
+            target.upper[7] = target.lower[7]
+            return decided
+
+        monkeypatch.setattr(DecisionRule, "decide_batch", collapsing)
+        with pytest.raises(ConfigurationError) as info:
+            run_scenario(scenario(
+                replicates=50, seed=5, deltas=(5.0, 5.0), methods=("naive",)
+            ))
+        assert "empty constraint" in str(info.value)
+        assert "replicate 7 (seed 5)" in str(info.value)
 
     def test_coverage_decomposition_identity(self):
         # The overall row is the proportion-weighted average of the
