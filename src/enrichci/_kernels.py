@@ -108,54 +108,49 @@ def _deep_cdf(x, delta, sigma1, sigma2, lower, upper):
     return np.clip(_quad_weighted(lo, hi, density), 0.0, 1.0)
 
 
-def _deep_partial_moment(a, b, delta, sigma1, sigma2, lower, upper):
+def _deep_partial_moment(a, b, delta, sigma1, sigma2, lower, upper, order):
     sigma12, _, _ = _geometry(sigma1, sigma2)
     center = cond_mean(delta, sigma1, sigma2, lower, upper)
     lo = np.clip(a, center - 14.0 * sigma12, center + 14.0 * sigma12)
     hi = np.clip(b, lo, center + 14.0 * sigma12)
     density = _deep_density(delta, sigma1, sigma2, lower, upper)
-    return _quad_weighted(lo, hi, lambda t: t * density(t))
+    return _quad_weighted(lo, hi, lambda t: t**order * density(t))
+
+
+def _patch_deep(out, a1, b1, deep_fn, *arrays):
+    """``out`` with ``deep_fn`` on the elements whose selection
+    log-probability lies below ``_DEEP_LOG_DEN``; ``deep_fn`` receives
+    ``arrays`` (broadcast to ``out``) flattened to those elements."""
+    deep = np.atleast_1d(log_norm_prob_range(a1, b1) < _DEEP_LOG_DEN).ravel()
+    if not deep.any():
+        return out
+    flat = np.atleast_1d(out).ravel().copy()
+    flat[deep] = deep_fn(*(np.atleast_1d(v).ravel()[deep] for v in arrays))
+    return flat.reshape(np.shape(out))
 
 
 def cond_cdf(x, delta, sigma1, sigma2, lower, upper):
     """Conditional CDF through bivariate-normal rectangle probabilities."""
-    x = np.asarray(x, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    x, delta, lower, upper = np.broadcast_arrays(x, delta, lower, upper)
+    x, delta, lower, upper = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x, delta, lower, upper))
+    )
     sigma12, rho, _ = _geometry(sigma1, sigma2)
     zx = (x - delta) / sigma12
     a1 = (lower - delta) / sigma1
     b1 = (upper - delta) / sigma1
     den = norm_prob_range(a1, b1)
-    num = bvn_cdf(zx, b1, rho) - bvn_cdf(zx, a1, rho)
+    # An infinite bound's bivariate term is Phi(zx) or 0: skip Owen's T.
+    below_upper = ndtr(zx) if np.all(upper == np.inf) else bvn_cdf(zx, b1, rho)
+    below_lower = 0.0 if np.all(lower == -np.inf) else bvn_cdf(zx, a1, rho)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
+        out = np.clip((below_upper - below_lower) / den, 0.0, 1.0)
+    out = _patch_deep(
+        out, a1, b1,
+        lambda x_, d_, l_, u_: _deep_cdf(x_, d_, sigma1, sigma2, l_, u_),
+        np.where(np.isfinite(x), x, 0.0), delta, lower, upper,
+    )
     out = np.where(zx == np.inf, 1.0, out)
-    out = np.where(zx == -np.inf, 0.0, out)
-    out = np.clip(out, 0.0, 1.0)
-
-    deep = log_norm_prob_range(a1, b1) < _DEEP_LOG_DEN
-    if np.any(deep):
-        flat = np.atleast_1d(out).copy()
-        idx = np.flatnonzero(np.atleast_1d(deep).ravel())
-        xf = np.where(np.isfinite(x), x, 0.0)
-        flat[idx] = _deep_cdf(
-            np.atleast_1d(xf).ravel()[idx],
-            np.atleast_1d(delta).ravel()[idx],
-            sigma1, sigma2,
-            np.atleast_1d(lower).ravel()[idx],
-            np.atleast_1d(upper).ravel()[idx],
-        )
-        flat[idx] = np.where(
-            np.atleast_1d(x).ravel()[idx] == np.inf, 1.0, flat[idx]
-        )
-        flat[idx] = np.where(
-            np.atleast_1d(x).ravel()[idx] == -np.inf, 0.0, flat[idx]
-        )
-        out = flat.reshape(out.shape)
-    return out
+    return np.where(zx == -np.inf, 0.0, out)
 
 
 def cond_mean(delta, sigma1, sigma2, lower, upper):
@@ -173,20 +168,19 @@ def cond_mean(delta, sigma1, sigma2, lower, upper):
 
 
 def cond_partial_moment(a, b, delta, sigma1, sigma2, lower, upper,
-                        cdf_a=None, cdf_b=None):
-    """Integral of t * pdf(t) over (a, b), in closed form.
+                        cdf_a=None, cdf_b=None, order=1):
+    """Integral of t**order * pdf(t) over (a, b), order 1 or 2, in closed form.
 
-    Obtained by integrating t * phi * Phi-range by parts; the boundary
-    terms involve the conditional selection factor and the cross terms
-    collapse to univariate normal CDFs. ``cdf_a``/``cdf_b`` may carry
-    precomputed conditional CDF values at the bounds.
+    With z = (t - delta) / sigma12 the density is phi(z) R(z) / (sigma12 *
+    den), where R(z) = Phi(alpha_u + beta z) - Phi(alpha_l + beta z) is the
+    selection factor. Integrating z phi R and z^2 phi R by parts leaves
+    boundary terms in R and cross terms phi(z) phi(alpha + beta z), which
+    collapse to univariate normal densities and CDFs. ``cdf_a``/``cdf_b``
+    may carry precomputed conditional CDF values at the bounds.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    a, b, delta, lower, upper = np.broadcast_arrays(a, b, delta, lower, upper)
+    a, b, delta, lower, upper = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, delta, lower, upper))
+    )
 
     sigma12, _, s = _geometry(sigma1, sigma2)
     beta = -sigma2 / sigma1
@@ -194,42 +188,45 @@ def cond_partial_moment(a, b, delta, sigma1, sigma2, lower, upper,
 
     za = (a - delta) / sigma12
     zb = (b - delta) / sigma12
+    za_f = np.where(np.isfinite(za), za, 0.0)
+    zb_f = np.where(np.isfinite(zb), zb, 0.0)
     a1 = (lower - delta) / sigma1
     b1 = (upper - delta) / sigma1
-    alpha_l = (lower - delta) / s
-    alpha_u = (upper - delta) / s
     den = norm_prob_range(a1, b1)
 
-    l_fin = np.isfinite(lower)
-    u_fin = np.isfinite(upper)
-    alpha_lf = np.where(l_fin, alpha_l, 0.0)
-    alpha_uf = np.where(u_fin, alpha_u, 0.0)
+    def bound_terms(bound, at_inf):
+        """Phi(alpha + beta z) at za and zb, and the cross integrals of
+        z phi R and z^2 phi R contributed by one truncation bound. A bound
+        infinite for every element has no cross terms and is skipped."""
+        fin = np.isfinite(bound)
+        if not fin.any():
+            return at_inf, at_inf, 0.0, 0.0
+        alpha_f = np.where(fin, (bound - delta) / s, 0.0)
+        g_a = np.where(fin, ndtr(alpha_f + beta * za_f), at_inf)
+        g_b = np.where(fin, ndtr(alpha_f + beta * zb_f), at_inf)
+        phi_bound = np.where(
+            fin, norm_pdf(np.where(fin, (bound - delta) / sigma1, 0.0)), 0.0
+        )
 
-    def g(z, alpha_f, fin, at_inf):
-        # Phi(alpha + beta*z) with limits for infinite alpha (1 upper / 0 lower)
-        zf = np.where(np.isfinite(z), z, 0.0)
-        val = ndtr(alpha_f + beta * zf)
-        return np.where(fin, val, at_inf)
+        def w(z, z_f):
+            # r*z + beta*alpha/r, infinite where z is
+            return np.where(np.isfinite(z), r * z_f + beta * alpha_f / r, z)
 
-    def h(z, alpha_f):
-        # Phi(r*z + beta*alpha/r) with limits for infinite z
-        zf = np.where(np.isfinite(z), z, 0.0)
-        val = ndtr(r * zf + beta * alpha_f / r)
-        val = np.where(z == np.inf, 1.0, val)
-        return np.where(z == -np.inf, 0.0, val)
+        w_a, w_b = w(za, za_f), w(zb, zb_f)
+        cross1 = phi_bound * (ndtr(w_b) - ndtr(w_a))
+        cross2 = 0.0
+        if order == 2:
+            shift = beta * alpha_f / r
+            cross2 = phi_bound * (
+                norm_pdf(w_a) - norm_pdf(w_b) - shift * (ndtr(w_b) - ndtr(w_a))
+            )
+        return g_a, g_b, cross1, cross2
 
-    gu_a = g(za, alpha_uf, u_fin, 1.0)
-    gl_a = g(za, alpha_lf, l_fin, 0.0)
-    gu_b = g(zb, alpha_uf, u_fin, 1.0)
-    gl_b = g(zb, alpha_lf, l_fin, 0.0)
-    t1 = norm_pdf(za) * (gu_a - gl_a) - norm_pdf(zb) * (gu_b - gl_b)
-
-    phi_u = np.where(u_fin, norm_pdf(np.where(u_fin, b1, 0.0)), 0.0)
-    phi_l = np.where(l_fin, norm_pdf(np.where(l_fin, a1, 0.0)), 0.0)
-    t2 = (beta / r) * (
-        phi_u * (h(zb, alpha_uf) - h(za, alpha_uf))
-        - phi_l * (h(zb, alpha_lf) - h(za, alpha_lf))
-    )
+    gu_a, gu_b, cu1, cu2 = bound_terms(upper, 1.0)
+    gl_a, gl_b, cl1, cl2 = bound_terms(lower, 0.0)
+    r_a = norm_pdf(za) * (gu_a - gl_a)
+    r_b = norm_pdf(zb) * (gu_b - gl_b)
+    j1 = r_a - r_b + (beta / r) * (cu1 - cl1)
 
     if cdf_a is None:
         cdf_a = cond_cdf(a, delta, sigma1, sigma2, lower, upper)
@@ -237,22 +234,19 @@ def cond_partial_moment(a, b, delta, sigma1, sigma2, lower, upper,
         cdf_b = cond_cdf(b, delta, sigma1, sigma2, lower, upper)
     cdf_term = np.asarray(cdf_b, dtype=float) - np.asarray(cdf_a, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = delta * cdf_term + sigma12 * (t1 + t2) / den
+        out = delta * cdf_term + sigma12 * j1 / den
+        if order == 2:
+            j2 = za_f * r_a - zb_f * r_b + (beta / (r * r)) * (cu2 - cl2)
+            out = delta * (out + sigma12 * j1 / den) + sigma12 * sigma12 * (
+                cdf_term + j2 / den
+            )
 
-    deep = log_norm_prob_range(a1, b1) < _DEEP_LOG_DEN
-    if np.any(deep):
-        flat = np.atleast_1d(out).copy()
-        idx = np.flatnonzero(np.atleast_1d(deep).ravel())
-        flat[idx] = _deep_partial_moment(
-            np.atleast_1d(a).ravel()[idx],
-            np.atleast_1d(b).ravel()[idx],
-            np.atleast_1d(delta).ravel()[idx],
-            sigma1, sigma2,
-            np.atleast_1d(lower).ravel()[idx],
-            np.atleast_1d(upper).ravel()[idx],
-        )
-        out = flat.reshape(out.shape)
-    return out
+    return _patch_deep(
+        out, a1, b1,
+        lambda a_, b_, d_, l_, u_: _deep_partial_moment(
+            a_, b_, d_, sigma1, sigma2, l_, u_, order),
+        a, b, delta, lower, upper,
+    )
 
 
 def flat_broadcast(*arrays):

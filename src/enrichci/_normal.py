@@ -5,7 +5,7 @@ where a limit exists.
 """
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, owens_t
+from scipy.special import log_ndtr, ndtr, owens_t
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -93,7 +93,3 @@ def bvn_cdf(h, k, rho):
     core = np.where(h == np.inf, ndtr(k), core)
     core = np.where((h == -np.inf) | (k == -np.inf), 0.0, core)
     return core
-
-
-def norm_quantile(q):
-    return ndtri(np.asarray(q, dtype=float))

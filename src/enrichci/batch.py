@@ -3,10 +3,11 @@
 Whole branches of simulated trials share the truncation geometry
 (``sigma1``/``sigma2`` fixed, per-replicate bounds and observations), so
 the exact-test constructions are solved for all replicates at once:
-damped Newton for the two moment constraints of the acceptance region and
-one bracketed root-finder (``_kernels.monotone_root``) for the test
-inversion in the effect parameter. Elements that fail to converge are
-reported through an ``ok`` mask.
+damped Newton for the two moment constraints of the acceptance region, a
+joint Newton in the effect and the acceptance cut for the umau endpoints,
+and one bracketed root-finder (``_kernels.monotone_root``) for the tost
+endpoints. Elements that fail to converge are reported through an ``ok``
+mask.
 """
 
 import numpy as np
@@ -89,80 +90,95 @@ def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
     return c1.reshape(shape), c2.reshape(shape), ok.reshape(shape)
 
 
-def _critical_value(delta, alpha, sigma1, sigma2, lower, upper, side, warm,
-                    tol=1e-10):
-    """C1 (side='upper') or C2 (side='lower') at ``delta``, warm-started."""
-    c1, c2, ok = batch_solve_umpu(
-        delta, alpha, sigma1, sigma2, lower, upper, c1=warm[0], c2=warm[1],
-        tol=tol,
-    )
-    bad = ~ok
-    if bad.any():
-        # Cold restart from equal-tail quantiles for stragglers.
-        c1b, c2b, ok2 = batch_solve_umpu(
-            delta[bad], alpha, sigma1, sigma2, lower[bad], upper[bad], tol=tol
-        )
-        c1[bad], c2[bad] = c1b, c2b
-        ok[bad] = ok2
-    warm[0], warm[1] = c1, c2
-    val = c2 if side == "lower" else c1
-    return val, ok
+def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
+    """Both endpoints of the exact-test inversion, per element.
 
-
-def batch_umau_endpoint(observed, alpha, sigma1, sigma2, lower, upper, side,
-                        center, tol_scale=1.0):
-    """One endpoint of the exact-test inversion, per element.
-
-    ``side='lower'`` solves C2(delta)=observed; ``side='upper'`` solves
-    C1(delta)=observed. Both critical values are strictly increasing in
-    delta. ``center`` seeds a bracket of +/-0.75 pooled sd (the matching
-    equal-tailed endpoint is an excellent guess). Returns (endpoint, ok).
+    At the lower endpoint (delta, c1) solves F(observed) - F(c1) = 1 - alpha
+    and M(c1, observed) = (1 - alpha) mu, with F, M and mu the conditional
+    CDF, partial first moment and mean at delta; the upper endpoint solves
+    the mirror system in (delta, c2). All endpoints run in one stacked 2x2
+    Newton iteration, whose derivatives in delta come from the
+    exponential-family identity d/d delta E[g(X)] = Cov(g(X), X) / sigma12^2.
+    It starts at the equal-tailed endpoint (``seeds``: a ``batch_ctost_ci``
+    result, solved here if not given) with c at the alpha/2 or 1 - alpha/2
+    quantile, where the size equation holds. Steps are clipped to one
+    pooled sd. Returns (lower, upper, ok).
     """
-    shape, (observed, lower, upper, center) = flat_broadcast(
-        observed, lower, upper, center
-    )
+    shape, (observed, lower, upper) = flat_broadcast(observed, lower, upper)
+    n = observed.size
     sigma12 = pooled_sd(sigma1, sigma2)
-
-    warm = [observed - 2.0 * sigma12, observed + 2.0 * sigma12]
-    newton_tol = 1e-10 * tol_scale
-
-    def excess(delta, i):
-        sub = [warm[0][i], warm[1][i]]
-        val, ok = _critical_value(
-            delta, alpha, sigma1, sigma2, lower[i], upper[i], side, sub,
-            tol=newton_tol,
-        )
-        warm[0][i], warm[1][i] = sub
-        return np.where(ok, val - observed[i], np.nan)
-
-    root, ok = monotone_root(
-        excess, center - 0.75 * sigma12, center + 0.75 * sigma12,
-        xatol=1e-9 * sigma12 * tol_scale, fatol=1e-10 * sigma12 * tol_scale,
-    )
-    return root.reshape(shape), ok.reshape(shape)
-
-
-def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper,
-                  tol_scale=1.0, seeds=None):
-    # Equal-tailed endpoints are cheap and land within a fraction of a
-    # pooled sd of the exact-test endpoints; use them as bracket seeds.
+    beta = 1.0 - alpha
     if seeds is None:
-        seed_lo, seed_hi, seed_ok = batch_ctost_ci(
-            observed, alpha, sigma1, sigma2, lower, upper
-        )
-    else:
-        seed_lo, seed_hi, seed_ok = seeds
-    seed_lo = np.where(seed_ok, seed_lo, np.asarray(observed, dtype=float))
-    seed_hi = np.where(seed_ok, seed_hi, np.asarray(observed, dtype=float))
-    lo, ok_lo = batch_umau_endpoint(
-        observed, alpha, sigma1, sigma2, lower, upper, side="lower",
-        center=seed_lo, tol_scale=tol_scale,
-    )
-    hi, ok_hi = batch_umau_endpoint(
-        observed, alpha, sigma1, sigma2, lower, upper, side="upper",
-        center=seed_hi, tol_scale=tol_scale,
-    )
-    return lo, hi, ok_lo & ok_hi
+        seeds = batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper)
+    seed_ok = np.ravel(seeds[2]).astype(bool)
+    half = ndtri(1.0 - 0.5 * alpha) * sigma12
+    delta = np.concatenate([
+        np.where(seed_ok, np.ravel(seeds[0]), observed - half),
+        np.where(seed_ok, np.ravel(seeds[1]), observed + half),
+    ])
+    # side -1: the lower endpoints (c below the observation); +1: the upper.
+    side = np.repeat([-1.0, 1.0], n)
+    x, lower, upper = (np.tile(v, 2) for v in (observed, lower, upper))
+    c = cond_quantile(np.where(side < 0, 0.5 * alpha, 1.0 - 0.5 * alpha),
+                      delta, sigma1, sigma2, lower, upper)
+    c = np.where(side * (c - x) > 0.0, c, x + side * sigma12)
+
+    last_step = np.full(2 * n, np.inf)
+    ok = np.zeros(2 * n, dtype=bool)
+    idx = np.arange(2 * n)
+    for _ in range(50):
+        if idx.size == 0:
+            break
+        d, cc, xo, sd, lo, up = (v[idx] for v in (delta, c, x, side, lower, upper))
+        args = (d, sigma1, sigma2, lo, up)
+        f_c, f_x = cond_cdf(np.stack([cc, xo]), *args)
+        a, b = np.where(sd < 0, [cc, xo], [xo, cc])
+        f_a, f_b = np.where(sd < 0, [f_c, f_x], [f_x, f_c])
+        m1, m2 = (cond_partial_moment(a, b, *args, cdf_a=f_a, cdf_b=f_b,
+                                      order=k) for k in (1, 2))
+        mean = cond_mean(*args)
+        var = cond_partial_moment(-np.inf, np.inf, *args, cdf_a=0.0,
+                                  cdf_b=1.0, order=2) - mean * mean
+        prob = f_b - f_a
+        g1, g2 = prob - beta, m1 - beta * mean
+        # Jacobian: d/d delta from the covariance identity; d/dc of G1 and
+        # G2 are side * f(c) and side * c * f(c), whose common factor
+        # cancels from the delta step.
+        j11 = (m1 - prob * mean) / sigma12**2
+        j21 = (m2 - m1 * mean - beta * var) / sigma12**2
+        den = j11 * cc - j21
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step_d = (g1 * cc - g2) / den
+            step_c = (j11 * g2 - j21 * g1) / (den * sd * cond_pdf(cc, *args))
+        finite = np.isfinite(step_d) & np.isfinite(step_c)
+        size = np.abs(step_d)
+        # Converged: a step below tolerance, or a small step that no longer
+        # shrinks because rounding in the residuals sets the floor (far
+        # from the truncation the law barely depends on delta).
+        last, last_step[idx] = last_step[idx], size
+        stalled = (last <= 1e-7 * sigma12) & (size > 0.5 * last)
+        conv = finite & (stalled | (
+            np.maximum(size, np.abs(step_c)) <= 1e-11 * sigma12))
+        c_new = cc - np.clip(step_c, -sigma12, sigma12)
+        # A cut that crosses the observation moves halfway towards it.
+        c_new = np.where(sd * (c_new - xo) > 0.0, c_new, 0.5 * (cc + xo))
+        delta[idx[finite]] = (d - np.clip(step_d, -sigma12, sigma12))[finite]
+        c[idx[finite]] = c_new[finite]
+        ok[idx[conv]] = True
+        idx = idx[finite & ~conv]
+
+    # Where the kernels lose accuracy (rho near 1) the CDF's slope no longer
+    # matches the density; such elements fail rather than return the root
+    # of inaccurate equations.
+    idx = np.flatnonzero(ok)
+    args = (delta[idx], sigma1, sigma2, lower[idx], upper[idx])
+    at, h = np.stack([c[idx], x[idx]]), 1e-4 * sigma12
+    cdf_up, cdf_down = cond_cdf(np.stack([at + h, at - h]), *args)
+    pdf = cond_pdf(at, *args)
+    ok[idx] = np.all(np.abs((cdf_up - cdf_down) / (2 * h) - pdf) <= 1e-5 * pdf,
+                     axis=0)
+    ok = ok[:n] & ok[n:]
+    return delta[:n].reshape(shape), delta[n:].reshape(shape), ok.reshape(shape)
 
 
 def batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper):

@@ -280,10 +280,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ConfigurationError, ValueError, TypeError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -32,10 +32,6 @@ from .designs import (
 
 _VARIANTS = ("d1", "d2", "kimani2015", "kimani2018")
 
-#: Loosened root tolerance for simulation solves; endpoint error stays
-#: around 1e-8 pooled SDs, far below any coverage resolution.
-_SIM_TOL_SCALE = 100.0
-
 _CHUNK = 4000
 
 
@@ -252,36 +248,36 @@ def _target_sums(scenario, target, idx, observed, lower, upper, pool):
         np.isfinite(lower).any() or np.isfinite(upper).any()
     )
     naive_lo, naive_hi = batch.batch_naive_ci(observed, alpha, se1, se2)
+    solved = [m for m in scenario.methods if m != "naive"] if truncated else []
 
-    def solve(method):
-        if method == "naive" or not truncated:
-            return naive_lo, naive_hi
-        chunks = range(0, count, _CHUNK)
+    def run(s):
+        # tost is solved once per chunk: it is a method and umau's seed.
+        chunk = slice(s, s + _CHUNK)
+        args = (observed[chunk], alpha, se1, se2, lower[chunk], upper[chunk])
+        tost = batch.batch_ctost_ci(*args)
+        if "umau" not in solved:
+            return {"tost": tost}
+        return {"tost": tost, "umau": batch.batch_umau_ci(*args, seeds=tost)}
 
-        def run(s):
-            chunk = slice(s, s + _CHUNK)
-            args = (observed[chunk], alpha, se1, se2, lower[chunk],
-                    upper[chunk])
-            if method == "tost":
-                return batch.batch_ctost_ci(*args)
-            return batch.batch_umau_ci(*args, tol_scale=_SIM_TOL_SCALE)
-        results = list(pool.map(run, chunks)) if pool else [
-            run(s) for s in chunks
-        ]
-        lo = np.concatenate([r[0] for r in results])
-        hi = np.concatenate([r[1] for r in results])
-        bad = np.flatnonzero(~np.concatenate([r[2] for r in results]))
-        if bad.size:
-            raise NumericalError(
-                f"{method} interval for target {target.name} did not "
-                f"converge at replicate {idx[bad[0]]} "
-                f"(seed {scenario.seed}); {bad.size} replicate(s) failed"
-            )
-        return lo, hi
+    chunks = range(0, count, _CHUNK) if solved else ()
+    results = list(pool.map(run, chunks)) if pool else [run(s) for s in chunks]
 
     sums = {}
     for method in scenario.methods:
-        lo, hi = solve(method)
+        if method in solved:
+            lo, hi, ok = (
+                np.concatenate([r[method][i] for r in results])
+                for i in range(3)
+            )
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                raise NumericalError(
+                    f"{method} interval for target {target.name} did not "
+                    f"converge at replicate {idx[bad[0]]} "
+                    f"(seed {scenario.seed}); {bad.size} replicate(s) failed"
+                )
+        else:
+            lo, hi = naive_lo, naive_hi
         sums[method] = (
             float(np.sum((lo <= truth) & (truth <= hi))),
             float(np.sum(hi - lo)),

@@ -306,7 +306,7 @@ class TestPropertySuite:
         seeds = batch_ctost_ci(draws, 0.05, m.sigma1, m.sigma2, m.lower, m.upper)
         u_lo, u_hi, ok = batch_umau_ci(
             draws, 0.05, m.sigma1, m.sigma2, m.lower, m.upper,
-            tol_scale=100.0, seeds=seeds,
+            seeds=seeds,
         )
         assert bool(np.all(ok)) and bool(np.all(seeds[2]))
         band = 2.576 * math.sqrt(0.95 * 0.05 / n)

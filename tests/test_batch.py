@@ -2,22 +2,37 @@
 
 The references are bracketed scalar ``brentq`` solves: on the truncated
 first moment for the acceptance region, and on the conditional CDF or
-the critical values for the interval endpoints.
+the critical values for the interval endpoints. The umau endpoints are
+also held against the nested solve they replaced: a root-finder in delta
+whose every evaluation is an acceptance-pair Newton solve.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from enrichci import (
     ConditionalNormal,
     CriticalPair,
+    IntervalEstimate,
     NumericalError,
     solve_umpu,
     umau_ci,
 )
+from enrichci._kernels import (
+    cond_cdf,
+    cond_mean,
+    cond_partial_moment,
+    cond_quantile,
+    flat_broadcast,
+    monotone_root,
+    pooled_sd,
+)
+from enrichci._normal import log_norm_prob_range
 from enrichci.batch import (
     batch_ctost_ci,
     batch_naive_ci,
@@ -56,6 +71,70 @@ def _solve_umpu_bracketed(model: ConditionalNormal, alpha: float) -> CriticalPai
         )
     c1 = brentq(residual, lo, hi, xtol=1e-13, rtol=8.9e-16)
     return CriticalPair(c1, upper_cut(c1))
+
+
+def _critical_value(delta, alpha, sigma1, sigma2, lower, upper, side, warm,
+                    tol):
+    """C1 (side='upper') or C2 (side='lower') at ``delta``, warm-started."""
+    c1, c2, ok = batch_solve_umpu(
+        delta, alpha, sigma1, sigma2, lower, upper, c1=warm[0], c2=warm[1],
+        tol=tol,
+    )
+    bad = ~ok
+    if bad.any():
+        # Cold restart from equal-tail quantiles for stragglers.
+        c1b, c2b, ok2 = batch_solve_umpu(
+            delta[bad], alpha, sigma1, sigma2, lower[bad], upper[bad], tol=tol
+        )
+        c1[bad], c2[bad] = c1b, c2b
+        ok[bad] = ok2
+    warm[0], warm[1] = c1, c2
+    val = c2 if side == "lower" else c1
+    return val, ok
+
+
+def nested_umau_endpoint(observed, alpha, sigma1, sigma2, lower, upper, side,
+                         center, xatol=1e-12, newton_tol=1e-11):
+    """Reference endpoint: a Chandrupatla root in delta of C2(delta) =
+    observed (lower) or C1(delta) = observed (upper), where each evaluation
+    solves the acceptance pair by Newton. ``center`` seeds a bracket of
+    +/-0.75 pooled sd; ``xatol`` is in pooled sds. Returns (endpoint, ok).
+    """
+    shape, (observed, lower, upper, center) = flat_broadcast(
+        observed, lower, upper, center
+    )
+    sigma12 = pooled_sd(sigma1, sigma2)
+    warm = [observed - 2.0 * sigma12, observed + 2.0 * sigma12]
+
+    def excess(delta, i):
+        sub = [warm[0][i], warm[1][i]]
+        val, ok = _critical_value(
+            delta, alpha, sigma1, sigma2, lower[i], upper[i], side, sub,
+            tol=newton_tol,
+        )
+        warm[0][i], warm[1][i] = sub
+        return np.where(ok, val - observed[i], np.nan)
+
+    root, ok = monotone_root(
+        excess, center - 0.75 * sigma12, center + 0.75 * sigma12,
+        xatol=xatol * sigma12, fatol=0.1 * xatol * sigma12,
+    )
+    return root.reshape(shape), ok.reshape(shape)
+
+
+def nested_umau_ci(observed, alpha, sigma1, sigma2, lower, upper):
+    """Both reference endpoints, seeded by the equal-tailed ones."""
+    seed_lo, seed_hi, seed_ok = batch_ctost_ci(
+        observed, alpha, sigma1, sigma2, lower, upper
+    )
+    assert bool(np.all(seed_ok))
+    lo, ok_lo = nested_umau_endpoint(
+        observed, alpha, sigma1, sigma2, lower, upper, "lower", seed_lo
+    )
+    hi, ok_hi = nested_umau_endpoint(
+        observed, alpha, sigma1, sigma2, lower, upper, "upper", seed_hi
+    )
+    return lo, hi, ok_lo & ok_hi
 
 
 def _scalar_endpoints(excess, observed, sigma12):
@@ -156,3 +235,196 @@ class TestBatchIntervals:
         )
         assert bool(np.all(ok))
         assert blo[0] < bhi[0]
+
+
+class TestJointUmau:
+    """The joint Newton in (delta, c) against the nested reference."""
+
+    OBSERVED = np.array([-0.9, -0.4, 0.1, 0.7, 1.3, 2.2])
+
+    @staticmethod
+    def _assert_agree(observed, alpha, s1, s2, lower, upper):
+        lo, hi, ok = batch_umau_ci(observed, alpha, s1, s2, lower, upper)
+        ref_lo, ref_hi, ref_ok = nested_umau_ci(
+            observed, alpha, s1, s2, lower, upper
+        )
+        assert bool(np.all(ok)) and bool(np.all(ref_ok))
+        sigma12 = pooled_sd(s1, s2)
+        assert np.max(np.abs(lo - ref_lo)) <= 1e-9 * sigma12
+        assert np.max(np.abs(hi - ref_hi)) <= 1e-9 * sigma12
+
+    @pytest.mark.parametrize("s1,s2,lo,up", GEOMETRIES)
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    def test_matches_nested_reference(self, s1, s2, lo, up, alpha):
+        self._assert_agree(self.OBSERVED, alpha, s1, s2, lo, up)
+
+    def test_matches_nested_reference_elementwise_bounds(self):
+        observed = np.array([0.3, 0.5, -0.2, 1.1])
+        lower = np.array([0.0, 0.2, -np.inf, -0.5])
+        upper = np.array([np.inf, 1.4, 0.4, 0.5])
+        self._assert_agree(observed, 0.05, 1.0, 1.0, lower, upper)
+
+    def test_matches_nested_reference_deep_truncation(self):
+        # Selection probability ~1e-5 at delta=0: the deep-tail quadrature
+        # carries both solves.
+        observed = np.array([2.3, 2.9, 3.6])
+        self._assert_agree(observed, 0.05, 1.0, 1.0, 4.1, np.inf)
+
+    def test_scalar_shape_passthrough(self):
+        lo, hi, ok = batch_umau_ci(0.4, 0.05, 1.0, 1.0, 0.0, np.inf)
+        assert np.shape(lo) == () and np.shape(hi) == () and bool(ok)
+
+    @pytest.mark.parametrize("s1,s2,lo,up", GEOMETRIES)
+    def test_duality_with_acceptance_region(self, s1, s2, lo, up):
+        # At the lower endpoint the acceptance region ends at the
+        # observation, at the upper endpoint it starts there.
+        geom = ConditionalNormal(0.0, s1, s2, lower=lo, upper=up)
+        blo, bhi, ok = batch_umau_ci(self.OBSERVED, 0.05, s1, s2, lo, up)
+        assert bool(np.all(ok))
+        for x, d_lo, d_hi in zip(self.OBSERVED, blo, bhi):
+            assert solve_umpu(geom.at(d_lo), 0.05).c2 == pytest.approx(
+                x, abs=1e-7
+            )
+            assert solve_umpu(geom.at(d_hi), 0.05).c1 == pytest.approx(
+                x, abs=1e-7
+            )
+
+
+def _plausible_observations(s1, s2, lower, upper):
+    """Observations whose conditional CDF at delta=0 spans [1e-4, 1-1e-4]."""
+    q = np.array([1e-4, 1e-3, 0.01, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95,
+                  0.99, 0.999, 1.0 - 1e-4])
+    return cond_quantile(q, 0.0, s1, s2, lower, upper)
+
+
+def _umau_equation_error(geom, observed, est, alpha, quadrature=False):
+    """Why ``est`` misses the size or first-moment equation, or None.
+
+    At the lower endpoint the acceptance region is [c1, observed], at the
+    upper one [observed, c2]. The cut c solves the size equation on its
+    side of the observation, and the first-moment residual is checked
+    relative to sigma12 + |mean|. The kernels are called directly, because
+    an endpoint's selection probability may lie below what
+    ``ConditionalNormal`` accepts. ``quadrature=True`` evaluates the CDF
+    and the moment by ``ConditionalNormal``'s adaptive quadrature instead,
+    which does not share the kernels' loss of accuracy as rho nears 1.
+    """
+    beta = 1.0 - alpha
+    args = (geom.sigma1, geom.sigma2, geom.lower, geom.upper)
+    span = 40.0 * geom.sigma12
+    for delta, side in ((est.lower, "lower"), (est.upper, "upper")):
+        law = geom.at(delta) if quadrature else None
+
+        def cdf(t):
+            if quadrature:
+                return law.cdf(t, method="quadrature")
+            return float(cond_cdf(t, delta, *args))
+
+        def moment(a, b):
+            if quadrature:
+                return law.partial_moment(a, b, method="quadrature")
+            return float(cond_partial_moment(a, b, delta, *args))
+
+        f_obs = cdf(observed)
+        if side == "lower" and f_obs > beta:
+            cut = brentq(lambda c: f_obs - cdf(c) - beta,
+                         observed - span, observed, xtol=1e-15 * span)
+            a, b = cut, observed
+        elif side == "upper" and f_obs < alpha:
+            cut = brentq(lambda c: cdf(c) - f_obs - beta,
+                         observed, observed + span, xtol=1e-15 * span)
+            a, b = observed, cut
+        else:
+            return f"no acceptance region at the {side} endpoint"
+        mean = float(cond_mean(delta, *args))
+        resid = moment(a, b) - beta * mean
+        if not abs(resid) <= 1e-6 * (geom.sigma12 + abs(mean)):
+            return f"moment residual {resid:.3e} at the {side} endpoint"
+    return None
+
+
+def _bounds(s1, kind):
+    return (0.0, math.inf) if kind == "one-sided" else (-0.5 * s1, 0.5 * s1)
+
+
+class TestSigmaRatios:
+    """umau across sigma1/sigma2, with one- and two-sided bounds."""
+
+    @pytest.mark.parametrize("kind", ["one-sided", "two-sided"])
+    @pytest.mark.parametrize("ratio", [0.2, 0.5, 2.0, 10.0, 100.0])
+    def test_every_plausible_observation_converges(self, ratio, kind):
+        s1, s2 = ratio, 1.0
+        lower, upper = _bounds(s1, kind)
+        observed = _plausible_observations(s1, s2, lower, upper)
+        lo, hi, ok = batch_umau_ci(observed, 0.05, s1, s2, lower, upper)
+        assert bool(np.all(ok))
+        model = ConditionalNormal(0.0, s1, s2, lower=lower, upper=upper)
+        for x in observed:
+            est = umau_ci(model, x, 0.05)
+            assert _umau_equation_error(model, x, est, 0.05) is None
+
+    @pytest.mark.parametrize("kind", ["one-sided", "two-sided"])
+    @pytest.mark.parametrize("ratio", [0.05, 0.1])
+    def test_near_degenerate_converges_or_raises(self, ratio, kind):
+        # rho >= 0.995: the closed-form kernels lose accuracy, so some
+        # elements may fail; none may return an interval that misses its
+        # defining equations, by the kernels or by quadrature.
+        s1, s2 = ratio, 1.0
+        lower, upper = _bounds(s1, kind)
+        model = ConditionalNormal(0.0, s1, s2, lower=lower, upper=upper)
+        for x in _plausible_observations(s1, s2, lower, upper):
+            try:
+                est = umau_ci(model, x, 0.05)
+            except NumericalError:
+                continue
+            assert _umau_equation_error(model, x, est, 0.05) is None
+            assert _umau_equation_error(
+                model, x, est, 0.05, quadrature=True
+            ) is None
+
+
+#: Fixed example sequence, so the suite stays deterministic.
+PROPERTY_SETTINGS = settings(
+    derandomize=True, max_examples=100, deadline=None, database=None
+)
+
+
+@st.composite
+def umau_problems(draw):
+    """A geometry with sigma1/sigma2 in [0.2, 100] and selection
+    log-probability down to about -20 at delta=0, plus two observations
+    at increasing conditional quantiles."""
+    s1, s2 = 10.0 ** draw(st.floats(math.log10(0.2), 2.0)), 1.0
+    kind = draw(st.sampled_from(["lower", "upper", "two-sided"]))
+    start = draw(st.floats(-2.0, 5.9)) * s1
+    if kind == "lower":
+        lower, upper = start, math.inf
+    elif kind == "upper":
+        lower, upper = -math.inf, -start
+    else:
+        lower = start
+        upper = start + draw(st.floats(0.1, 3.0)) * s1
+    assume(log_norm_prob_range(lower / s1, upper / s1) >= -20.0)
+    q1 = draw(st.floats(1e-3, 0.9))
+    q2 = q1 + draw(st.floats(0.01, 1.0 - 1e-3 - q1))
+    observed = cond_quantile(np.array([q1, q2]), 0.0, s1, s2, lower, upper)
+    return s1, s2, lower, upper, observed
+
+
+class TestUmauProperties:
+    """Random geometries and observations: the endpoints solve their
+    defining equations, are ordered, and move up with the observation."""
+
+    @PROPERTY_SETTINGS
+    @given(umau_problems())
+    def test_equations_order_and_monotonicity(self, problem):
+        s1, s2, lower, upper, observed = problem
+        lo, hi, ok = batch_umau_ci(observed, 0.05, s1, s2, lower, upper)
+        assert bool(np.all(ok))
+        assert bool(np.all(lo < hi))
+        slack = 1e-9 * pooled_sd(s1, s2)
+        assert lo[1] >= lo[0] - slack and hi[1] >= hi[0] - slack
+        geom = ConditionalNormal(0.0, s1, s2, lower=lower, upper=upper)
+        for x, d_lo, d_hi in zip(observed, lo, hi):
+            est = IntervalEstimate(d_lo, d_hi, "umau", 0.05)
+            assert _umau_equation_error(geom, x, est, 0.05) is None

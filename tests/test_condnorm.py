@@ -14,6 +14,8 @@ from scipy import integrate
 from scipy.stats import norm
 
 from enrichci import ConditionalNormal
+from enrichci._kernels import cond_cdf, cond_partial_moment, pooled_sd
+from enrichci._normal import bvn_cdf, norm_prob_range
 
 
 def reference_pdf(x, delta, s1, s2, lower, upper):
@@ -252,6 +254,86 @@ class TestPartialMoment:
         m = ConditionalNormal(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             m.partial_moment(1.0, -1.0)
+
+
+class TestSecondPartialMoment:
+    """order=2 against adaptive quadrature of t^2 * pdf."""
+
+    @staticmethod
+    def _quad(m, a, b):
+        center = m.mean()
+        a = max(a, center - 14.0 * m.sigma12)
+        b = min(b, center + 14.0 * m.sigma12)
+        pts = [p for p in (m.lower, m.upper) if a < p < b]
+        val, _ = integrate.quad(
+            lambda t: t * t * m.pdf(t), a, b, points=pts or None,
+            epsabs=1e-13, epsrel=1e-13, limit=200,
+        )
+        return val
+
+    @pytest.mark.parametrize("delta,s1,s2,lower,upper,a,b", [
+        (0.0, 1.0, 1.0, 0.0, math.inf, -1.0, 2.0),
+        (0.3, 0.7, 1.5, -0.5, 0.8, -0.4, 1.1),
+        (-1.0, 2.0, 0.5, -math.inf, 0.2, -3.0, -0.5),
+        (0.5, 0.4, 2.0, 0.1, 1.4, -math.inf, math.inf),
+        (1.2, 1.0, 1.0, 0.0, math.inf, 0.5, math.inf),
+        (0.0, 1.0, 1.0, -math.inf, math.inf, -math.inf, 0.7),
+    ])
+    def test_closed_form(self, delta, s1, s2, lower, upper, a, b):
+        m = ConditionalNormal(delta, s1, s2, lower=lower, upper=upper)
+        got = float(cond_partial_moment(a, b, delta, s1, s2, lower, upper,
+                                        order=2))
+        assert got == pytest.approx(self._quad(m, a, b), abs=1e-10)
+
+    @pytest.mark.parametrize("lower,upper,a,b", [
+        (4.1, math.inf, 2.0, 4.5),
+        (4.1, math.inf, -math.inf, math.inf),
+        (-math.inf, -4.3, -5.0, -3.6),
+        (4.1, 4.6, 3.0, 3.9),
+    ])
+    def test_deep_tail(self, lower, upper, a, b):
+        # Selection probability below 1e-4: the quadrature branch.
+        m = ConditionalNormal(0.0, 1.0, 1.0, lower=lower, upper=upper)
+        got = float(cond_partial_moment(a, b, 0.0, 1.0, 1.0, lower, upper,
+                                        order=2))
+        assert got == pytest.approx(self._quad(m, a, b), abs=1e-10)
+
+
+def _cdf_both_bivariate_terms(x, delta, s1, s2, lower, upper):
+    """The conditional CDF's closed form with both bivariate-normal terms
+    evaluated, infinite bounds included."""
+    s12 = pooled_sd(s1, s2)
+    rho = s2 / math.hypot(s1, s2)
+    zx = (x - delta) / s12
+    a1, b1 = (lower - delta) / s1, (upper - delta) / s1
+    num = bvn_cdf(zx, b1, rho) - bvn_cdf(zx, a1, rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / norm_prob_range(a1, b1)
+    out = np.where(zx == np.inf, 1.0, out)
+    out = np.where(zx == -np.inf, 0.0, out)
+    return np.clip(out, 0.0, 1.0)
+
+
+class TestInfiniteBoundShortcut:
+    """cond_cdf skips the bivariate term of a bound that is infinite for
+    every element; the result must not change in any bit."""
+
+    X = np.concatenate([np.linspace(-7.0, 7.0, 281), [-np.inf, np.inf]])
+
+    @pytest.mark.parametrize("lower,upper", [
+        (0.0, math.inf),
+        (-math.inf, 0.4),
+        (-0.3, 0.9),
+        (-math.inf, math.inf),
+        (np.array([0.0, -math.inf, -0.3]), np.array([math.inf, 0.4, 0.9])),
+    ])
+    def test_bit_identical(self, lower, upper):
+        x = self.X[:, None] if np.ndim(lower) else self.X
+        for s1, s2, delta in ((1.0, 1.0, 0.0), (0.8, 1.3, 0.2),
+                              (3.0, 0.5, -0.4)):
+            got = cond_cdf(x, delta, s1, s2, lower, upper)
+            ref = _cdf_both_bivariate_terms(x, delta, s1, s2, lower, upper)
+            assert np.array_equal(got, ref)
 
 
 class TestProperties:

@@ -320,7 +320,7 @@ class TestConditionalCoverage:
         )
         u_lo, u_hi, u_ok = batch_umau_ci(
             draws, 0.05, m.sigma1, m.sigma2, m.lower, m.upper,
-            tol_scale=100.0, seeds=(t_lo, t_hi, t_ok),
+            seeds=(t_lo, t_hi, t_ok),
         )
         assert bool(np.all(t_ok)) and bool(np.all(u_ok))
         band = 2.576 * math.sqrt(0.95 * 0.05 / n)  # 99% binomial band
