@@ -6,12 +6,13 @@ estimates is the working statistic. Its conditional density is a normal
 density tilted by a normal-CDF range factor. The CDF and truncated first
 moments reduce to bivariate-normal rectangle probabilities, evaluated here
 through Owen's T. All routines broadcast: ``delta``, ``x``, ``lower``,
-``upper`` may be arrays, ``sigma1``/``sigma2`` are scalars.
+``upper`` may be arrays, ``sigma1``/``sigma2`` are scalars. Quantiles, and
+the tost endpoints in ``batch``, are roots of ``probit_newton``: Newton on
+the probit scale of a monotone CDF, with a bracket as its safeguard.
 """
 
 import numpy as np
-from scipy.optimize.elementwise import bracket_root, find_root
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._normal import bvn_cdf, log_norm_prob_range, norm_pdf, norm_prob_range
 
@@ -255,52 +256,69 @@ def flat_broadcast(*arrays):
     return broad[0].shape, [np.atleast_1d(b).ravel() for b in broad]
 
 
-def monotone_root(f, lo, hi, xatol, fatol=None):
-    """Root in x of each element of a monotone ``f(x, i)``.
+def probit_newton(f, x, q, sign, step, xtol):
+    """Root in x of F(x) = q per element of a monotone F; (root, ok).
 
-    ``lo``/``hi`` are flat arrays seeding one bracket per element; ``f``
-    receives the abscissae together with the indices ``i`` of the elements
-    they belong to, so it can look up per-element data. Chandrupatla's
-    method (``find_root``) runs on the seed brackets; only elements whose
-    seed bracket holds no sign change are grown by ``bracket_root`` and
-    solved again, because re-solving from a grown bracket evaluates its
-    ends a second time. Returns (root, ok); ``ok`` is False where the
-    solve failed or ``f`` returned a non-finite value along the way.
+    ``f(x, i)`` returns F and dF/dx at ``x`` for the elements ``i``; F
+    increases in x for ``sign`` +1 and decreases for -1. Newton steps on
+    ndtri(F) - ndtri(q), linear in x for an untruncated normal law, start
+    at ``x`` and are clipped to ``step``. Where F rounds to 0 or 1, or a
+    step points away from the root or leaves the bracket the evaluations
+    so far imply, the element bisects that bracket, or moves ``step``
+    towards the root while it is open on that side. Only a Newton step
+    converges: probit residual at most 1e-6, and a step below ``xtol`` or
+    stalled at the rounding floor (under 1e-7 ``step``, no longer halving).
     """
-    finite = np.ones(lo.shape, dtype=bool)
-
-    def g(x, i):
-        fx = f(x, i)
-        finite[i[~np.isfinite(fx)]] = False
-        return fx
-
-    tol = {"xatol": xatol, "fatol": fatol}
-    res = find_root(g, (lo, hi), args=(np.arange(lo.size),), tolerances=tol)
-    root, ok = res.x, res.success
-    redo = np.flatnonzero(res.status == -1)
-    if redo.size:
-        grown = bracket_root(g, lo[redo], hi[redo], args=(redo,))
-        redo = redo[grown.success]
-        xl, xr = (b[grown.success] for b in grown.bracket)
-        res = find_root(g, (xl, xr), args=(redo,), tolerances=tol)
-        root[redo], ok[redo] = res.x, res.success
-    return root, ok & finite
+    x = np.array(x, dtype=float)
+    zq = ndtri(q)
+    lo = np.full(x.shape, -np.inf)
+    hi = np.full(x.shape, np.inf)
+    last = np.full(x.shape, np.inf)
+    ok = np.zeros(x.shape, dtype=bool)
+    idx = np.arange(x.size)
+    for _ in range(100):
+        if idx.size == 0:
+            break
+        xi = x[idx]
+        fx, dfx = f(xi, idx)
+        z = ndtri(fx)
+        resid = z - zq[idx]
+        towards = -sign * np.sign(resid)  # +1: the root lies above xi
+        lo[idx] = np.where(towards > 0, xi, lo[idx])
+        hi[idx] = np.where(towards < 0, xi, hi[idx])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = np.where(towards == 0, 0.0, -resid * norm_pdf(z) / dfx)
+        size = np.abs(newton)
+        last_i, last[idx] = last[idx], size
+        stalled = (size <= 1e-7 * step) & (size > 0.5 * last_i)
+        conv = (np.abs(resid) <= 1e-6) & ((size <= xtol) | stalled)
+        x_new = xi + np.clip(newton, -step, step)
+        guard = ~conv & ~((towards * newton > 0) & (x_new > lo[idx])
+                          & (x_new < hi[idx]))
+        ahead = np.where(towards > 0, hi[idx], lo[idx])
+        x_new = np.where(guard, np.where(np.isfinite(ahead), 0.5 * (xi + ahead),
+                                         xi + towards * step), x_new)
+        last[idx[guard]] = np.inf
+        live = np.isfinite(x_new) & np.isfinite(fx)
+        x[idx[live]] = x_new[live]
+        ok[idx[conv & live]] = True
+        idx = idx[live & ~conv]
+    return x, ok
 
 
 def cond_quantile(q, delta, sigma1, sigma2, lower, upper):
-    """Vectorized quantile: the root in x of the monotone conditional CDF.
-
-    NaN where the root was not found.
+    """Vectorized quantile: the root in x of the monotone conditional CDF,
+    found by ``probit_newton`` from the untruncated quantile around the
+    conditional mean. NaN where the root was not found.
     """
     shape, (q, delta, lower, upper) = flat_broadcast(q, delta, lower, upper)
     sigma12, _, _ = _geometry(sigma1, sigma2)
 
-    def excess(x, i):
-        return cond_cdf(x, delta[i], sigma1, sigma2, lower[i], upper[i]) - q[i]
+    def cdf_and_pdf(x, i):
+        args = (delta[i], sigma1, sigma2, lower[i], upper[i])
+        return cond_cdf(x, *args), cond_pdf(x, *args)
 
-    center = cond_mean(delta, sigma1, sigma2, lower, upper)
-    root, ok = monotone_root(
-        excess, center - 12.0 * sigma12, center + 12.0 * sigma12,
-        xatol=1e-13 * sigma12,
-    )
+    start = cond_mean(delta, sigma1, sigma2, lower, upper) + ndtri(q) * sigma12
+    root, ok = probit_newton(cdf_and_pdf, start, q, 1.0, sigma12,
+                             xtol=1e-13 * sigma12)
     return np.where(ok, root, np.nan).reshape(shape)

@@ -5,9 +5,10 @@ Whole branches of simulated trials share the truncation geometry
 the exact-test constructions are solved for all replicates at once:
 damped Newton for the two moment constraints of the acceptance region, a
 joint Newton in the effect and the acceptance cut for the umau endpoints,
-and one bracketed root-finder (``_kernels.monotone_root``) for the tost
-endpoints. Elements that fail to converge are reported through an ``ok``
-mask.
+and a safeguarded Newton on the probit scale (``_kernels.probit_newton``)
+for the tost endpoints. Elements that fail to converge, or whose
+conditional CDF disagrees with its density at the solution, are reported
+through an ``ok`` mask.
 """
 
 import numpy as np
@@ -20,8 +21,8 @@ from ._kernels import (
     cond_pdf,
     cond_quantile,
     flat_broadcast,
-    monotone_root,
     pooled_sd,
+    probit_newton,
 )
 
 
@@ -90,6 +91,18 @@ def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
     return c1.reshape(shape), c2.reshape(shape), ok.reshape(shape)
 
 
+def _slope_matches_density(at, delta, sigma1, sigma2, lower, upper):
+    """Where the CDF's central-difference slope at ``at`` matches the
+    density to 1e-5 relative. Where the kernels lose accuracy (rho near 1)
+    it does not; solvers fail such elements rather than return the root of
+    inaccurate equations."""
+    h = 1e-4 * pooled_sd(sigma1, sigma2)
+    args = (delta, sigma1, sigma2, lower, upper)
+    cdf_up, cdf_down = cond_cdf(np.stack([at + h, at - h]), *args)
+    pdf = cond_pdf(at, *args)
+    return np.abs((cdf_up - cdf_down) / (2 * h) - pdf) <= 1e-5 * pdf
+
+
 def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
     """Both endpoints of the exact-test inversion, per element.
 
@@ -147,7 +160,7 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
         j11 = (m1 - prob * mean) / sigma12**2
         j21 = (m2 - m1 * mean - beta * var) / sigma12**2
         den = j11 * cc - j21
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step_d = (g1 * cc - g2) / den
             step_c = (j11 * g2 - j21 * g1) / (den * sd * cond_pdf(cc, *args))
         finite = np.isfinite(step_d) & np.isfinite(step_c)
@@ -167,16 +180,10 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
         ok[idx[conv]] = True
         idx = idx[finite & ~conv]
 
-    # Where the kernels lose accuracy (rho near 1) the CDF's slope no longer
-    # matches the density; such elements fail rather than return the root
-    # of inaccurate equations.
     idx = np.flatnonzero(ok)
-    args = (delta[idx], sigma1, sigma2, lower[idx], upper[idx])
-    at, h = np.stack([c[idx], x[idx]]), 1e-4 * sigma12
-    cdf_up, cdf_down = cond_cdf(np.stack([at + h, at - h]), *args)
-    pdf = cond_pdf(at, *args)
-    ok[idx] = np.all(np.abs((cdf_up - cdf_down) / (2 * h) - pdf) <= 1e-5 * pdf,
-                     axis=0)
+    ok[idx] = np.all(_slope_matches_density(
+        np.stack([c[idx], x[idx]]), delta[idx], sigma1, sigma2, lower[idx],
+        upper[idx]), axis=0)
     ok = ok[:n] & ok[n:]
     return delta[:n].reshape(shape), delta[n:].reshape(shape), ok.reshape(shape)
 
@@ -186,7 +193,9 @@ def batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper):
 
     The conditional CDF at the observed value is strictly decreasing in
     delta; the lower endpoint is where it falls to 1 - alpha/2, the upper
-    one where it falls to alpha/2. Both are solved in one call.
+    one where it falls to alpha/2. Both are ``probit_newton`` roots in one
+    call, started at the naive endpoints, with the slope in delta from the
+    covariance identity dF/d delta = (M(-inf, observed) - F mu) / sigma12^2.
     """
     shape, (observed, lower, upper) = flat_broadcast(observed, lower, upper)
     sigma12 = pooled_sd(sigma1, sigma2)
@@ -194,14 +203,18 @@ def batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper):
     q = np.repeat([1.0 - 0.5 * alpha, 0.5 * alpha], n)
     observed, lower, upper = (np.tile(a, 2) for a in (observed, lower, upper))
 
-    def excess(delta, i):
-        cdf = cond_cdf(observed[i], delta, sigma1, sigma2, lower[i], upper[i])
-        return cdf - q[i]
+    def cdf_and_slope(delta, i):
+        args = (delta, sigma1, sigma2, lower[i], upper[i])
+        cdf = cond_cdf(observed[i], *args)
+        m1 = cond_partial_moment(-np.inf, observed[i], *args, cdf_a=0.0,
+                                 cdf_b=cdf)
+        return cdf, (m1 - cdf * cond_mean(*args)) / sigma12**2
 
-    root, ok = monotone_root(
-        excess, observed - 10.0 * sigma12, observed + 10.0 * sigma12,
-        xatol=1e-10 * sigma12,
-    )
+    root, ok = probit_newton(cdf_and_slope, observed - ndtri(q) * sigma12, q,
+                             -1.0, sigma12, xtol=1e-10 * sigma12)
+    idx = np.flatnonzero(ok)
+    ok[idx] = _slope_matches_density(observed[idx], root[idx], sigma1, sigma2,
+                                     lower[idx], upper[idx])
     ok = ok[:n] & ok[n:]
     return root[:n].reshape(shape), root[n:].reshape(shape), ok.reshape(shape)
 

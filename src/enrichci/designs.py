@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .condnorm import ConditionalNormal
-from .intervals import ctost_ci, naive_ci, umau_ci
+from .intervals import model_intervals
 
 
 class ConfigurationError(ValueError):
@@ -296,19 +296,22 @@ def batch_d1(design, means, z_star, co_primary=False):
     m1, m2 = means[:, 0], means[:, 1]
     full_se = design.stage1_se((1, 2))
     threshold = full_se * z_star
+    bounds1 = (math.sqrt(p2 / p1) * m2, threshold / p1 - (p2 / p1) * m2)
+    bounds2 = (math.sqrt(p1 / p2) * m1, threshold / p2 - (p1 / p2) * m1)
     outcomes = (
         _outcome(design, (1, 2), np.full(n, threshold), np.full(n, math.inf),
                  ((threshold - p2 * m2) / p1, (threshold - p1 * m1) / p2)
                  if co_primary else ()),
-        _outcome(design, (1,), math.sqrt(p2 / p1) * m2,
-                 threshold / p1 - (p2 / p1) * m2),
-        _outcome(design, (2,), math.sqrt(p1 / p2) * m1,
-                 threshold / p2 - (p1 / p2) * m1),
+        _outcome(design, (1,), *bounds1),
+        _outcome(design, (2,), *bounds2),
     )
-    z_full = (p1 * m1 + p2 * m2) / (p1 + p2) / full_se
-    z1 = m1 / design.stage1_se((1,))
-    z2 = m2 / design.stage1_se((2,))
-    branch = np.where(z_full > z_star, 0, np.where(z1 >= z2, 1, 2))
+    first = m1 / design.stage1_se((1,)) >= m2 / design.stage1_se((2,))
+    best, lower, upper = np.where(first, (m1, *bounds1), (m2, *bounds2))
+    # The pooled Z clears z_star iff the higher-Z mean exceeds its own
+    # enrichment upper bound; testing that, and continuing where the bounds
+    # cross by rounding, leaves every enriched draw a non-empty constraint.
+    branch = np.where((best > upper) | (lower >= upper), 0,
+                      np.where(first, 1, 2))
     return BatchDecision(branch, outcomes)
 
 
@@ -333,10 +336,13 @@ def batch_d2(design, means, delta_star, co_primary=False):
         _outcome(design, (2,), threshold, upper2),
         InterimDecision((), ()),
     )
-    pooled = (p1 * m1 + p2 * m2) / (p1 + p2)
-    enrich = np.where(m1 >= m2, 1, 2)
-    enrich = np.where(np.maximum(m1, m2) > delta_star, enrich, 3)
-    branch = np.where(pooled > delta_star, 0, enrich)
+    # The pooled mean clears delta_star iff the best mean exceeds its own
+    # enrichment upper bound; testing it on that bound leaves every
+    # enriched draw the non-empty constraint delta_star < mean <= upper.
+    second = m1 < m2
+    best = np.maximum(m1, m2)
+    enrich = np.where(best > delta_star, 1 + second, 3)
+    branch = np.where(best > np.where(second, upper2, upper1), 0, enrich)
     return BatchDecision(branch, outcomes)
 
 
@@ -369,6 +375,7 @@ def batch_kimani2018(design, means, delta_star):
     n, k = len(means), design.k
     cum_p = list(itertools.accumulate(design.p))
     cum_pm = np.cumsum(np.asarray(design.p) * means, axis=1)
+    qualifies = cum_pm / np.asarray(cum_p) > delta_star
     outcomes = [InterimDecision((), ())]
     for m in range(1, k + 1):
         # Rearranged block-mean constraints for m' > m: block [j] fails
@@ -377,13 +384,14 @@ def batch_kimani2018(design, means, delta_star):
         upper = np.full(n, math.inf)
         for j in range(m + 1, k + 1):
             beyond = cum_pm[:, j - 1] - cum_pm[:, m - 1]
-            upper = np.minimum(
-                upper, (cum_p[j - 1] * delta_star - beyond) / cum_p[m - 1]
-            )
+            bound = (cum_p[j - 1] * delta_star - beyond) / cum_p[m - 1]
+            upper = np.minimum(upper, bound)
+            # A block that qualifies by this rearranged form qualifies,
+            # so no selected block's constraint is empty by rounding.
+            qualifies[:, j - 1] |= qualifies[:, m - 1] & (bound <= delta_star)
         outcomes.append(_outcome(
             design, tuple(range(1, m + 1)), np.full(n, delta_star), upper
         ))
-    qualifies = cum_pm / np.asarray(cum_p) > delta_star
     largest = k - np.argmax(qualifies[:, ::-1], axis=1)
     branch = np.where(qualifies.any(axis=1), largest, 0)
     return BatchDecision(branch, tuple(outcomes))
@@ -432,7 +440,8 @@ def confidence_intervals(design, decision, s1, s2, methods, alpha=None):
     """Intervals for every target of a realized (non-futility) decision.
 
     Returns a list of IntervalEstimate, one per (target, method), in
-    target order then method order.
+    target order then method order. Each truncated target solves tost
+    once, which also seeds its umau solve.
     """
     if decision.stopped:
         raise ConfigurationError(
@@ -447,15 +456,5 @@ def confidence_intervals(design, decision, s1, s2, methods, alpha=None):
             0.0, target.se1, target.se2,
             lower=target.lower, upper=target.upper,
         )
-        for method in methods:
-            if method == "naive":
-                out.append(
-                    naive_ci(observed, model.sigma12, alpha, target=target.name)
-                )
-            elif method == "umau":
-                out.append(umau_ci(model, observed, alpha, target=target.name))
-            else:
-                out.append(
-                    ctost_ci(model, observed, alpha, target=target.name)
-                )
+        out += model_intervals(model, observed, alpha, methods, target.name)
     return out

@@ -75,17 +75,43 @@ def solve_umpu(model: ConditionalNormal, alpha: float) -> CriticalPair:
     return CriticalPair(float(c1), float(c2))
 
 
-def _interval(solver, method, model, observed, alpha, target):
-    """Size-1 call of a batch interval solver; NumericalError on failure."""
-    lo, hi, ok = solver(
-        observed, alpha, model.sigma1, model.sigma2, model.lower, model.upper
-    )
-    if not ok:
-        raise NumericalError(
-            f"{method} interval did not converge at observed={observed:.6g}, "
-            f"model={model}"
-        )
-    return IntervalEstimate(float(lo), float(hi), method, alpha, target)
+def model_intervals(model: ConditionalNormal, observed: float, alpha: float,
+                    methods, target: str = "delta") -> list:
+    """The intervals named in ``methods``, in that order, at one observation.
+
+    tost is solved at most once, as a size-1 batch call, and seeds the
+    umau solve; a solve that does not converge raises ``NumericalError``.
+    Without truncation umau and tost collapse to the naive interval.
+    """
+    if "umau" in methods:
+        _check_alpha_umau(alpha)
+    elif not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    observed = float(observed)
+    if not math.isfinite(observed):
+        raise ValueError(f"observed must be finite, got {observed}")
+    solved = {}
+    if model.truncated and set(methods) - {"naive"}:
+        geometry = (observed, alpha, model.sigma1, model.sigma2, model.lower,
+                    model.upper)
+        solved["tost"] = batch.batch_ctost_ci(*geometry)
+        if "umau" in methods:
+            solved["umau"] = batch.batch_umau_ci(*geometry,
+                                                 seeds=solved["tost"])
+    out = []
+    for method in methods:
+        if method not in solved:
+            out.append(naive_ci(observed, model.sigma12, alpha, target=target,
+                                method=method))
+            continue
+        lo, hi, ok = solved[method]
+        if not ok:
+            raise NumericalError(
+                f"{method} interval did not converge at "
+                f"observed={observed:.6g}, model={model}"
+            )
+        out.append(IntervalEstimate(float(lo), float(hi), method, alpha, target))
+    return out
 
 
 def umau_ci(model: ConditionalNormal, observed: float, alpha: float,
@@ -95,28 +121,13 @@ def umau_ci(model: ConditionalNormal, observed: float, alpha: float,
     ``model`` fixes the truncation geometry; its ``delta`` is irrelevant
     (the inversion sweeps delta).
     """
-    _check_alpha_umau(alpha)
-    observed = float(observed)
-    if not math.isfinite(observed):
-        raise ValueError(f"observed must be finite, got {observed}")
-    if not model.truncated:
-        return naive_ci(observed, model.sigma12, alpha, target=target,
-                        method="umau")
-    return _interval(batch.batch_umau_ci, "umau", model, observed, alpha, target)
+    return model_intervals(model, observed, alpha, ("umau",), target)[0]
 
 
 def ctost_ci(model: ConditionalNormal, observed: float, alpha: float,
              target: str = "delta") -> IntervalEstimate:
     """Invert two one-sided conditional tests at level alpha/2 each."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    observed = float(observed)
-    if not math.isfinite(observed):
-        raise ValueError(f"observed must be finite, got {observed}")
-    if not model.truncated:
-        return naive_ci(observed, model.sigma12, alpha, target=target,
-                        method="tost")
-    return _interval(batch.batch_ctost_ci, "tost", model, observed, alpha, target)
+    return model_intervals(model, observed, alpha, ("tost",), target)[0]
 
 
 def naive_ci(observed: float, se: float, alpha: float, target: str = "delta",

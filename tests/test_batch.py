@@ -4,7 +4,9 @@ The references are bracketed scalar ``brentq`` solves: on the truncated
 first moment for the acceptance region, and on the conditional CDF or
 the critical values for the interval endpoints. The umau endpoints are
 also held against the nested solve they replaced: a root-finder in delta
-whose every evaluation is an acceptance-pair Newton solve.
+whose every evaluation is an acceptance-pair Newton solve. The tost
+endpoints and the quantiles, now probit-scale Newton roots, are held
+against the Chandrupatla root-finder they replaced (``monotone_root``).
 """
 
 import math
@@ -14,12 +16,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import bracket_root, find_root
+from scipy.special import ndtr, ndtri
 
 from enrichci import (
     ConditionalNormal,
     CriticalPair,
     IntervalEstimate,
     NumericalError,
+    ctost_ci,
     solve_umpu,
     umau_ci,
 )
@@ -29,10 +34,10 @@ from enrichci._kernels import (
     cond_partial_moment,
     cond_quantile,
     flat_broadcast,
-    monotone_root,
     pooled_sd,
+    probit_newton,
 )
-from enrichci._normal import log_norm_prob_range
+from enrichci._normal import log_norm_prob_range, norm_pdf
 from enrichci.batch import (
     batch_ctost_ci,
     batch_naive_ci,
@@ -46,6 +51,57 @@ GEOMETRIES = [
     (0.8, 1.2, 0.2, 1.0),
     (1.2, 0.7, -math.inf, 0.4),
 ]
+
+
+def monotone_root(f, lo, hi, xatol, fatol=None):
+    """Reference root in x of each element of a monotone ``f(x, i)``.
+
+    ``lo``/``hi`` are flat arrays seeding one bracket per element; ``f``
+    receives the abscissae together with the indices ``i`` of the elements
+    they belong to. Chandrupatla's method (``find_root``) runs on the seed
+    brackets; elements whose seed bracket holds no sign change are grown
+    by ``bracket_root`` and solved again. Returns (root, ok); ``ok`` is
+    False where the solve failed or ``f`` returned a non-finite value.
+    """
+    finite = np.ones(lo.shape, dtype=bool)
+
+    def g(x, i):
+        fx = f(x, i)
+        finite[i[~np.isfinite(fx)]] = False
+        return fx
+
+    tol = {"xatol": xatol, "fatol": fatol}
+    res = find_root(g, (lo, hi), args=(np.arange(lo.size),), tolerances=tol)
+    root, ok = res.x, res.success
+    redo = np.flatnonzero(res.status == -1)
+    if redo.size:
+        grown = bracket_root(g, lo[redo], hi[redo], args=(redo,))
+        redo = redo[grown.success]
+        xl, xr = (b[grown.success] for b in grown.bracket)
+        res = find_root(g, (xl, xr), args=(redo,), tolerances=tol)
+        root[redo], ok[redo] = res.x, res.success
+    return root, ok & finite
+
+
+def reference_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper):
+    """Reference tost endpoints: Chandrupatla roots in delta of the
+    conditional CDF at the observation, to 1e-12 pooled sd."""
+    shape, (observed, lower, upper) = flat_broadcast(observed, lower, upper)
+    sigma12 = pooled_sd(sigma1, sigma2)
+    n = observed.size
+    q = np.repeat([1.0 - 0.5 * alpha, 0.5 * alpha], n)
+    observed, lower, upper = (np.tile(a, 2) for a in (observed, lower, upper))
+
+    def excess(delta, i):
+        cdf = cond_cdf(observed[i], delta, sigma1, sigma2, lower[i], upper[i])
+        return cdf - q[i]
+
+    root, ok = monotone_root(
+        excess, observed - 10.0 * sigma12, observed + 10.0 * sigma12,
+        xatol=1e-12 * sigma12,
+    )
+    return root[:n].reshape(shape), root[n:].reshape(shape), (
+        ok[:n] & ok[n:]).reshape(shape)
 
 
 def _solve_umpu_bracketed(model: ConditionalNormal, alpha: float) -> CriticalPair:
@@ -383,6 +439,35 @@ class TestSigmaRatios:
             ) is None
 
 
+class TestTostGuard:
+    """tost at sigma1/sigma2 where the kernels lose accuracy."""
+
+    @pytest.mark.parametrize("kind", ["one-sided", "two-sided"])
+    @pytest.mark.parametrize("ratio", [0.05, 0.1])
+    def test_near_degenerate_meets_equations_or_raises(self, ratio, kind):
+        # An endpoint whose CDF slope disagrees with the density fails;
+        # every returned endpoint meets its tail probability by quadrature,
+        # wherever its selection probability lets that law be built.
+        s1, s2 = ratio, 1.0
+        lower, upper = _bounds(s1, kind)
+        model = ConditionalNormal(0.0, s1, s2, lower=lower, upper=upper)
+        checked = 0
+        for x in _plausible_observations(s1, s2, lower, upper):
+            try:
+                est = ctost_ci(model, x, 0.05)
+            except NumericalError:
+                continue
+            for delta, tail in ((est.lower, 0.975), (est.upper, 0.025)):
+                try:
+                    law = model.at(delta)
+                except ValueError:
+                    continue
+                cdf = law.cdf(x, method="quadrature")
+                assert abs(cdf - tail) <= 1e-7, (x, delta, cdf)
+                checked += 1
+        assert checked > 0
+
+
 #: Fixed example sequence, so the suite stays deterministic.
 PROPERTY_SETTINGS = settings(
     derandomize=True, max_examples=100, deadline=None, database=None
@@ -428,3 +513,87 @@ class TestUmauProperties:
         for x, d_lo, d_hi in zip(observed, lo, hi):
             est = IntervalEstimate(d_lo, d_hi, "umau", 0.05)
             assert _umau_equation_error(geom, x, est, 0.05) is None
+
+
+#: GEOMETRIES plus deep one- and two-sided truncations and extreme
+#: sigma1/sigma2.
+ROOT_GEOMETRIES = GEOMETRIES + [
+    (1.0, 1.0, 4.1, math.inf),
+    (1.0, 1.0, 10.0, math.inf),
+    (1.0, 1.0, 30.0, math.inf),
+    (1.0, 1.0, -math.inf, -25.0),
+    (1.0, 1.0, 20.0, 20.5),
+    (0.5, 1.0, 12.0, 13.0),
+    (0.2, 1.0, 0.0, math.inf),
+    (0.2, 1.0, -0.1, 0.1),
+    (5.0, 1.0, 0.0, math.inf),
+    (5.0, 1.0, -2.5, 2.5),
+]
+
+
+class TestProbitNewton:
+    """Quantiles and tost endpoints from the probit-scale Newton."""
+
+    Q = np.array([1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999,
+                  1.0 - 1e-4])
+
+    @pytest.mark.parametrize("s1,s2,lo,up", ROOT_GEOMETRIES)
+    def test_quantile_meets_its_probability(self, s1, s2, lo, up):
+        x = cond_quantile(self.Q, 0.0, s1, s2, lo, up)
+        assert np.max(np.abs(cond_cdf(x, 0.0, s1, s2, lo, up) - self.Q)) <= 1e-13
+
+    @pytest.mark.parametrize("s1,s2,lo,up", ROOT_GEOMETRIES)
+    def test_tost_matches_chandrupatla_reference(self, s1, s2, lo, up):
+        observed = cond_quantile(self.Q, 0.0, s1, s2, lo, up)
+        lo_, hi_, ok = batch_ctost_ci(observed, 0.05, s1, s2, lo, up)
+        ref_lo, ref_hi, ref_ok = reference_ctost_ci(
+            observed, 0.05, s1, s2, lo, up
+        )
+        assert bool(np.all(ok)) and bool(np.all(ref_ok))
+        sigma12 = pooled_sd(s1, s2)
+        assert np.max(np.abs(lo_ - ref_lo)) <= 2e-10 * sigma12
+        assert np.max(np.abs(hi_ - ref_hi)) <= 2e-10 * sigma12
+
+
+class TestProbitNewtonSafeguards:
+    """One case per safeguard; each fails with that safeguard taken out."""
+
+    def test_saturated_cdf_steps_towards_the_root(self):
+        # The untruncated start of the 0.999 quantile lies where the CDF
+        # rounds to 1, so the probit step is undefined there.
+        q = np.array([1e-3, 0.999])
+        args = (0.0, 0.2, 1.0, 2.0, np.inf)
+        start = cond_mean(*args) + ndtri(q) * pooled_sd(0.2, 1.0)
+        assert cond_cdf(start[1], *args) == 1.0
+        x = cond_quantile(q, *args)
+        assert np.max(np.abs(cond_cdf(x, *args) - q)) <= 1e-13
+
+    def test_wrong_sign_slope_bisects(self):
+        # Near F = 1 the slope M(-inf, x) - F mu cancels and flips sign;
+        # plain Newton cycles between two points.
+        observed = np.linspace(-15.0, -13.0, 9)
+        lo, hi, ok = batch_ctost_ci(observed, 0.05, 1.0, 1.0, -np.inf, -25.0)
+        ref_lo, ref_hi, _ = reference_ctost_ci(
+            observed, 0.05, 1.0, 1.0, -np.inf, -25.0
+        )
+        assert bool(np.all(ok))
+        assert np.max(np.abs(lo - ref_lo)) <= 2e-10 * pooled_sd(1.0, 1.0)
+        assert np.max(np.abs(hi - ref_hi)) <= 2e-10 * pooled_sd(1.0, 1.0)
+
+    def test_step_onto_a_bracket_end_bisects(self):
+        # From saturation the iterates move one pooled sd at a time, and a
+        # clipped Newton step then lands exactly on an earlier iterate;
+        # accepting it repeats the same two points forever.
+        q = np.array([1e-3, 0.999])
+        x = cond_quantile(q, 0.0, 0.05, 1.0, -0.025, 0.025)
+        assert np.max(np.abs(cond_cdf(x, 0.0, 0.05, 1.0, -0.025, 0.025) - q)) <= 1e-13
+
+    def test_convergence_needs_a_small_residual(self):
+        # A misreported slope makes the first Newton step tiny and the
+        # next one large; the large step is no stall at the rounding floor.
+        def cdf_and_pdf(x, i):
+            return ndtr(x), np.where(x == 3.0, 1e9, norm_pdf(x))
+
+        root, ok = probit_newton(cdf_and_pdf, np.array([3.0]), np.array([0.5]),
+                                 1.0, 1.0, xtol=1e-13)
+        assert bool(ok[0]) and abs(root[0]) <= 1e-12

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from enrichci import (
+    ConditionalNormal,
     ConfigurationError,
     Stage1Summary,
     Stage2Summary,
@@ -23,8 +24,11 @@ from enrichci import (
     apply_kimani2015,
     apply_kimani2018,
     confidence_intervals,
+    ctost_ci,
     pooled_estimate,
+    umau_ci,
 )
+from enrichci import batch
 from enrichci.designs import (
     batch_d1,
     batch_d2,
@@ -245,6 +249,36 @@ class TestConfidenceIntervals:
             assert ci.lower == pytest.approx(lo, abs=1e-3), (ci.target, ci.method)
             assert ci.upper == pytest.approx(hi, abs=1e-3), (ci.target, ci.method)
 
+    def test_one_tost_solve_per_truncated_target(self, monkeypatch):
+        # tost is solved once per target and seeds umau; the intervals
+        # match the scalar constructions.
+        solve = batch.batch_ctost_ci
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "batch_ctost_ci", counted)
+        s1 = Stage1Summary((0.113, 0.013))
+        dec = apply_d2(EXAMPLE_DESIGN, s1, 0.025, co_primary=True)
+        s2 = Stage2Summary(0.045, sub_means=(0.155, -0.064))
+        cis = confidence_intervals(
+            EXAMPLE_DESIGN, dec, s1, s2, ("naive", "umau", "tost")
+        )
+        assert len(calls) == len(dec.targets) == 3
+        scalar = {"umau": umau_ci, "tost": ctost_ci}
+        for ci in cis:
+            if ci.method == "naive":
+                continue
+            target = next(t for t in dec.targets if t.name == ci.target)
+            model = ConditionalNormal(0.0, target.se1, target.se2,
+                                      lower=target.lower, upper=target.upper)
+            observed = pooled_estimate(EXAMPLE_DESIGN, dec, s1, s2, target)
+            ref = scalar[ci.method](model, observed, EXAMPLE_DESIGN.alpha)
+            assert abs(ci.lower - ref.lower) <= 1e-9 * model.sigma12
+            assert abs(ci.upper - ref.upper) <= 1e-9 * model.sigma12
+
     def test_unaltered_targets_collapse_to_naive(self):
         design = TestAuxiliaryDifferenceRule.DESIGN
         s1 = Stage1Summary((0.5, 0.5))
@@ -367,41 +401,54 @@ class TestPartitionProperties:
 # upper) truncation bounds.
 
 
-def _reference_d1(design, means, z_star, co_primary):
+def _reference_d1_full(design, means, z_star, co_primary):
     p1, p2 = design.p
     m1, m2 = means
-    full_se = design.stage1_se((1, 2))
-    z_full = Stage1Summary(means).pooled_mean(design) / full_se
-    if z_full > z_star:
-        threshold = full_se * z_star
-        bounds = {"full": (threshold, math.inf)}
-        if co_primary:
-            bounds["delta1"] = ((threshold - p2 * m2) / p1, math.inf)
-            bounds["delta2"] = ((threshold - p1 * m1) / p2, math.inf)
-        return "full", bounds
+    threshold = design.stage1_se((1, 2)) * z_star
+    bounds = {"full": (threshold, math.inf)}
+    if co_primary:
+        bounds["delta1"] = ((threshold - p2 * m2) / p1, math.inf)
+        bounds["delta2"] = ((threshold - p1 * m1) / p2, math.inf)
+    return "full", bounds
+
+
+def _reference_d1(design, means, z_star, co_primary):
+    """Full continuation where the higher-Z mean exceeds its enrichment
+    upper bound, or where that constraint is empty."""
+    p1, p2 = design.p
+    m1, m2 = means
     z1, z2 = (means[m - 1] / design.stage1_se((m,)) for m in (1, 2))
     if z1 >= z2:
+        label, best = "sub1", m1
         lower = math.sqrt(p2 / p1) * m2
         upper = design.stage1_se((1, 2)) * z_star / p1 - (p2 / p1) * m2
-        return "sub1", {"sub1": (lower, upper)}
-    lower = math.sqrt(p1 / p2) * m1
-    upper = design.stage1_se((1, 2)) * z_star / p2 - (p1 / p2) * m1
-    return "sub2", {"sub2": (lower, upper)}
+    else:
+        label, best = "sub2", m2
+        lower = math.sqrt(p1 / p2) * m1
+        upper = design.stage1_se((1, 2)) * z_star / p2 - (p1 / p2) * m1
+    if best > upper or lower >= upper:
+        return _reference_d1_full(design, means, z_star, co_primary)
+    return label, {label: (lower, upper)}
 
 
 def _reference_d2(design, means, delta_star, co_primary):
+    """Full continuation where the best mean exceeds its enrichment upper
+    bound."""
     p1, p2 = design.p
     m1, m2 = means
-    if Stage1Summary(means).pooled_mean(design) > delta_star:
+    upper1 = (delta_star - p2 * m2) / p1
+    upper2 = (delta_star - p1 * m1) / p2
+    label, best, upper = (
+        ("sub1", m1, upper1) if m1 >= m2 else ("sub2", m2, upper2)
+    )
+    if best > upper:
         bounds = {"full": (delta_star, math.inf)}
         if co_primary:
-            bounds["delta1"] = ((delta_star - p2 * m2) / p1, math.inf)
-            bounds["delta2"] = ((delta_star - p1 * m1) / p2, math.inf)
+            bounds["delta1"] = (upper1, math.inf)
+            bounds["delta2"] = (upper2, math.inf)
         return "full", bounds
-    if max(m1, m2) > delta_star:
-        if m1 >= m2:
-            return "sub1", {"sub1": (delta_star, (delta_star - p2 * m2) / p1)}
-        return "sub2", {"sub2": (delta_star, (delta_star - p1 * m1) / p2)}
+    if best > delta_star:
+        return label, {label: (delta_star, upper)}
     return "stop", {}
 
 
@@ -415,6 +462,8 @@ def _reference_kimani2015(design, means, delta_star):
 
 
 def _reference_kimani2018(design, means, delta_star):
+    """A block also qualifies where a smaller qualifying block's
+    rearranged bound for it is at most the threshold."""
     p = design.p
     k = design.k
     cum_p = [0.0]
@@ -422,14 +471,20 @@ def _reference_kimani2018(design, means, delta_star):
     for m in range(1, k + 1):
         cum_p.append(cum_p[-1] + p[m - 1])
         cum_pm.append(cum_pm[-1] + p[m - 1] * means[m - 1])
+
+    def bound(m, j):
+        return (cum_p[j] * delta_star - (cum_pm[j] - cum_pm[m])) / cum_p[m]
+
+    qualifies = [None]
+    for j in range(1, k + 1):
+        qualifies.append(cum_pm[j] / cum_p[j] > delta_star or any(
+            qualifies[m] and bound(m, j) <= delta_star for m in range(1, j)
+        ))
     for m in range(k, 0, -1):
-        if cum_pm[m] / cum_p[m] > delta_star:
+        if qualifies[m]:
             if m == k:
                 return "full", {"full": (delta_star, math.inf)}
-            upper = min(
-                (cum_p[j] * delta_star - (cum_pm[j] - cum_pm[m])) / cum_p[m]
-                for j in range(m + 1, k + 1)
-            )
+            upper = min(bound(m, j) for j in range(m + 1, k + 1))
             label = "sub1" if m == 1 else f"sub1-{m}"
             return label, {label: (delta_star, upper)}
     return "stop", {}
@@ -517,6 +572,25 @@ class TestBatchRules:
         expected = _reference_groups(reference, design, means, *args)
         assert _batch_groups(decided) == expected
         assert len(expected) >= 2
+
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_every_constraint_is_non_empty(self, case):
+        # The ulp draws put pooled and block means onto the threshold; a
+        # draw must still land inside a non-empty constraint.
+        batch, _, design, args, unit = BATCH_CASES[case]
+        decided = batch(design, _tie_draws(design, unit, seed=len(case)),
+                        *args)
+        for j, outcome in enumerate(decided.outcomes):
+            rows = decided.branch == j
+            for t in outcome.targets:
+                lower = np.broadcast_to(t.lower, rows.shape)[rows]
+                upper = np.broadcast_to(t.upper, rows.shape)[rows]
+                assert bool(np.all(lower < upper)), (case, t.name)
+
+    def test_one_ulp_means_decide(self):
+        means = Stage1Summary((1.0000000000000002,) * 2)
+        dec = apply_d2(UNEQUAL, means, 1.0)
+        assert dec.selected == (1, 2)
 
     def test_scalar_rules_are_size_one_batches(self):
         means = np.random.default_rng(5).normal(1.0, 1.5, size=(20, 2))
