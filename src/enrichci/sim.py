@@ -242,7 +242,6 @@ def _target_sums(scenario, target, idx, observed, lower, upper, pool):
     replicates ``idx`` of its branch, and the naive width sum."""
     alpha = scenario.design.alpha
     se1, se2 = target.se1, target.se2
-    count = idx.size
     truth = target.true_value(scenario.design, scenario.true_deltas)
     truncated = not target.unaltered and (
         np.isfinite(lower).any() or np.isfinite(upper).any()
@@ -259,8 +258,9 @@ def _target_sums(scenario, target, idx, observed, lower, upper, pool):
             return {"tost": tost}
         return {"tost": tost, "umau": batch.batch_umau_ci(*args, seeds=tost)}
 
-    chunks = range(0, count, _CHUNK) if solved else ()
-    results = list(pool.map(run, chunks)) if pool else [run(s) for s in chunks]
+    chunks = range(0, idx.size, _CHUNK) if solved else ()
+    # Only several chunks gain from the pool; one runs in this thread.
+    results = list((pool.map if pool and len(chunks) > 1 else map)(run, chunks))
 
     sums = {}
     for method in scenario.methods:

@@ -7,6 +7,7 @@ patient-level oracle on a tiny design.
 
 import math
 import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -156,6 +157,27 @@ class TestRunScenario:
                 res7 = run_scenario(sc)
         assert min(b.count for b in res1.branches if b.stats) > 300
         assert res1 == res7
+
+    @pytest.mark.parametrize("chunk,in_pool", [(100, True), (4000, False)])
+    def test_single_chunk_solves_in_calling_thread(
+        self, monkeypatch, chunk, in_pool
+    ):
+        # Only targets split into several chunks go to the pool; a target
+        # that is one chunk is solved in the thread that runs the scenario.
+        solver = batch.batch_ctost_ci
+        threads = []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "batch_ctost_ci", recording)
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        monkeypatch.setenv("ENRICH_CI_THREADS", "2")
+        run_scenario(scenario(replicates=3000))
+        assert threads
+        main = threading.current_thread()
+        assert all((t is not main) == in_pool for t in threads)
 
     @pytest.mark.parametrize(
         "method,name", [("umau", "batch_umau_ci"), ("tost", "batch_ctost_ci")]
