@@ -5,10 +5,10 @@ interval (lower, upper); the precision-weighted pool of stage 1 and stage 2
 estimates is the working statistic. Its conditional density is a normal
 density tilted by a normal-CDF range factor. The CDF and truncated first
 moments reduce to bivariate-normal rectangle probabilities, evaluated here
-through Owen's T. All routines broadcast: ``delta``, ``x``, ``lower``,
-``upper`` may be arrays, ``sigma1``/``sigma2`` are scalars. Quantiles, and
-the tost endpoints in ``batch``, are roots of ``probit_newton``: Newton on
-the probit scale of a monotone CDF, with a bracket as its safeguard.
+through Owen's T. All routines broadcast over every argument, so each
+element has its own ``sigma1``, ``sigma2``, ``lower`` and ``upper``.
+Quantiles and the tost endpoints in ``batch`` are ``probit_newton`` roots:
+Newton on the probit scale of a monotone CDF, safeguarded by a bracket.
 """
 
 import numpy as np
@@ -64,7 +64,8 @@ def _quad_weighted(lo, hi, fn):
     """Composite Gauss-Legendre integral of ``fn`` over per-element [lo, hi].
 
     ``lo``/``hi`` are flat arrays; ``fn`` maps a node array of the same
-    trailing shape to integrand values.
+    trailing shape to integrand values. Each element's weighted sum runs
+    along a contiguous row, which rounds alike at any number of elements.
     """
     edges = np.linspace(0.0, 1.0, _GL_PANELS + 1)
     width = hi - lo
@@ -73,7 +74,8 @@ def _quad_weighted(lo, hi, fn):
         p_lo = lo + edges[p] * width
         p_w = (edges[p + 1] - edges[p]) * width
         nodes = p_lo[None, :] + 0.5 * (_GL_NODES[:, None] + 1.0) * p_w[None, :]
-        total += 0.5 * p_w * np.einsum("i,ij->j", _GL_WEIGHTS, fn(nodes))
+        rows = np.ascontiguousarray(fn(nodes).T)
+        total += 0.5 * p_w * np.einsum("ji,i->j", rows, _GL_WEIGHTS)
     return total
 
 
@@ -121,20 +123,23 @@ def _deep_partial_moment(a, b, delta, sigma1, sigma2, lower, upper, order):
 def _patch_deep(out, a1, b1, deep_fn, *arrays):
     """``out`` with ``deep_fn`` on the elements whose selection
     log-probability lies below ``_DEEP_LOG_DEN``; ``deep_fn`` receives
-    ``arrays`` (broadcast to ``out``) flattened to those elements."""
-    deep = np.atleast_1d(log_norm_prob_range(a1, b1) < _DEEP_LOG_DEN).ravel()
+    ``arrays``, broadcast to ``out`` and flattened to those elements."""
+    deep = log_norm_prob_range(a1, b1) < _DEEP_LOG_DEN
     if not deep.any():
         return out
-    flat = np.atleast_1d(out).ravel().copy()
-    flat[deep] = deep_fn(*(np.atleast_1d(v).ravel()[deep] for v in arrays))
-    return flat.reshape(np.shape(out))
+    shape = np.shape(out)
+    deep = np.broadcast_to(deep, shape).ravel()
+    flat = np.ravel(out).copy()
+    flat[deep] = deep_fn(*(np.broadcast_to(v, shape).ravel()[deep]
+                           for v in arrays))
+    return flat.reshape(shape)
 
 
 def cond_cdf(x, delta, sigma1, sigma2, lower, upper):
     """Conditional CDF through bivariate-normal rectangle probabilities."""
-    x, delta, lower, upper = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, delta, lower, upper))
-    )
+    x, delta, sigma1, sigma2, lower, upper = (
+        np.asarray(v, dtype=float)
+        for v in (x, delta, sigma1, sigma2, lower, upper))
     sigma12, rho, _ = _geometry(sigma1, sigma2)
     zx = (x - delta) / sigma12
     a1 = (lower - delta) / sigma1
@@ -145,11 +150,8 @@ def cond_cdf(x, delta, sigma1, sigma2, lower, upper):
     below_lower = 0.0 if np.all(lower == -np.inf) else bvn_cdf(zx, a1, rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.clip((below_upper - below_lower) / den, 0.0, 1.0)
-    out = _patch_deep(
-        out, a1, b1,
-        lambda x_, d_, l_, u_: _deep_cdf(x_, d_, sigma1, sigma2, l_, u_),
-        np.where(np.isfinite(x), x, 0.0), delta, lower, upper,
-    )
+    out = _patch_deep(out, a1, b1, _deep_cdf, np.where(np.isfinite(x), x, 0.0),
+                      delta, sigma1, sigma2, lower, upper)
     out = np.where(zx == np.inf, 1.0, out)
     return np.where(zx == -np.inf, 0.0, out)
 
@@ -179,9 +181,9 @@ def cond_partial_moment(a, b, delta, sigma1, sigma2, lower, upper,
     collapse to univariate normal densities and CDFs. ``cdf_a``/``cdf_b``
     may carry precomputed conditional CDF values at the bounds.
     """
-    a, b, delta, lower, upper = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a, b, delta, lower, upper))
-    )
+    a, b, delta, sigma1, sigma2, lower, upper = (
+        np.asarray(v, dtype=float)
+        for v in (a, b, delta, sigma1, sigma2, lower, upper))
 
     sigma12, _, s = _geometry(sigma1, sigma2)
     beta = -sigma2 / sigma1
@@ -243,10 +245,8 @@ def cond_partial_moment(a, b, delta, sigma1, sigma2, lower, upper,
             )
 
     return _patch_deep(
-        out, a1, b1,
-        lambda a_, b_, d_, l_, u_: _deep_partial_moment(
-            a_, b_, d_, sigma1, sigma2, l_, u_, order),
-        a, b, delta, lower, upper,
+        out, a1, b1, lambda *v: _deep_partial_moment(*v, order),
+        a, b, delta, sigma1, sigma2, lower, upper,
     )
 
 
@@ -268,9 +268,11 @@ def probit_newton(f, x, q, sign, step, xtol):
     towards the root while it is open on that side. Only a Newton step
     converges: probit residual at most 1e-6, and a step below ``xtol`` or
     stalled at the rounding floor (under 1e-7 ``step``, no longer halving).
+    ``step`` and ``xtol`` broadcast to ``x``.
     """
     x = np.array(x, dtype=float)
     zq = ndtri(q)
+    step, xtol = (np.broadcast_to(v, x.shape) for v in (step, xtol))
     lo = np.full(x.shape, -np.inf)
     hi = np.full(x.shape, np.inf)
     last = np.full(x.shape, np.inf)
@@ -279,7 +281,7 @@ def probit_newton(f, x, q, sign, step, xtol):
     for _ in range(100):
         if idx.size == 0:
             break
-        xi = x[idx]
+        xi, step_i = x[idx], step[idx]
         fx, dfx = f(xi, idx)
         z = ndtri(fx)
         resid = z - zq[idx]
@@ -290,14 +292,14 @@ def probit_newton(f, x, q, sign, step, xtol):
             newton = np.where(towards == 0, 0.0, -resid * norm_pdf(z) / dfx)
         size = np.abs(newton)
         last_i, last[idx] = last[idx], size
-        stalled = (size <= 1e-7 * step) & (size > 0.5 * last_i)
-        conv = (np.abs(resid) <= 1e-6) & ((size <= xtol) | stalled)
-        x_new = xi + np.clip(newton, -step, step)
+        stalled = (size <= 1e-7 * step_i) & (size > 0.5 * last_i)
+        conv = (np.abs(resid) <= 1e-6) & ((size <= xtol[idx]) | stalled)
+        x_new = xi + np.clip(newton, -step_i, step_i)
         guard = ~conv & ~((towards * newton > 0) & (x_new > lo[idx])
                           & (x_new < hi[idx]))
         ahead = np.where(towards > 0, hi[idx], lo[idx])
         x_new = np.where(guard, np.where(np.isfinite(ahead), 0.5 * (xi + ahead),
-                                         xi + towards * step), x_new)
+                                         xi + towards * step_i), x_new)
         last[idx[guard]] = np.inf
         live = np.isfinite(x_new) & np.isfinite(fx)
         x[idx[live]] = x_new[live]
@@ -311,11 +313,12 @@ def cond_quantile(q, delta, sigma1, sigma2, lower, upper):
     found by ``probit_newton`` from the untruncated quantile around the
     conditional mean. NaN where the root was not found.
     """
-    shape, (q, delta, lower, upper) = flat_broadcast(q, delta, lower, upper)
-    sigma12, _, _ = _geometry(sigma1, sigma2)
+    shape, (q, delta, sigma1, sigma2, lower, upper) = flat_broadcast(
+        q, delta, sigma1, sigma2, lower, upper)
+    sigma12 = pooled_sd(sigma1, sigma2)
 
     def cdf_and_pdf(x, i):
-        args = (delta[i], sigma1, sigma2, lower[i], upper[i])
+        args = (delta[i], sigma1[i], sigma2[i], lower[i], upper[i])
         return cond_cdf(x, *args), cond_pdf(x, *args)
 
     start = cond_mean(delta, sigma1, sigma2, lower, upper) + ndtri(q) * sigma12

@@ -66,13 +66,13 @@ def bvn_cdf(h, k, rho):
     """P(X <= h, Y <= k) for standard bivariate normal with correlation rho.
 
     Owen (1956) tetrachoric reduction through Owen's T function. ``rho``
-    must lie strictly inside (-1, 1); h and k may be +/-inf.
+    broadcasts with h and k and must lie strictly inside (-1, 1); h and k
+    may be +/-inf.
     """
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    h, k = np.broadcast_arrays(h, k)
-    rho = float(rho)
-    if not -1.0 < rho < 1.0:
+    h, k = np.broadcast_arrays(np.asarray(h, dtype=float),
+                               np.asarray(k, dtype=float))
+    rho = np.asarray(rho, dtype=float)
+    if not (np.abs(rho) < 1.0).all():
         raise ValueError(f"correlation must be in (-1, 1), got {rho}")
     root = np.sqrt(1.0 - rho * rho)
 

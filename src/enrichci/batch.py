@@ -1,14 +1,13 @@
 """Array-parallel solvers for acceptance regions and interval endpoints.
 
-Whole branches of simulated trials share the truncation geometry
-(``sigma1``/``sigma2`` fixed, per-replicate bounds and observations), so
-the exact-test constructions are solved for all replicates at once:
-damped Newton for the two moment constraints of the acceptance region, a
-joint Newton in the effect and the acceptance cut for the umau endpoints,
-and a safeguarded Newton on the probit scale (``_kernels.probit_newton``)
-for the tost endpoints. Elements that fail to converge, or whose
-conditional CDF disagrees with its density at the solution, are reported
-through an ``ok`` mask.
+Each element carries its own geometry (``sigma1``, ``sigma2`` and the
+bounds) and observation, so all targets of a trial, or all replicates of
+a scenario, are solved at once: damped Newton for the two moment
+constraints of the acceptance region, a joint Newton in the effect and
+the acceptance cut for the umau endpoints, and a safeguarded Newton on
+the probit scale (``_kernels.probit_newton``) for the tost endpoints.
+Elements that fail to converge, or whose conditional CDF disagrees with
+its density at the solution, are reported through an ``ok`` mask.
 """
 
 import numpy as np
@@ -32,7 +31,8 @@ def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
 
     Returns (c1, c2, ok). Warm starts may be passed through ``c1``/``c2``.
     """
-    shape, (delta0, lower, upper) = flat_broadcast(delta0, lower, upper)
+    shape, (delta0, sigma1, sigma2, lower, upper) = flat_broadcast(
+        delta0, sigma1, sigma2, lower, upper)
     sigma12 = pooled_sd(sigma1, sigma2)
     beta = 1.0 - alpha
 
@@ -54,32 +54,30 @@ def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        d, lo, up = delta0[idx], lower[idx], upper[idx]
+        args = (delta0[idx], sigma1[idx], sigma2[idx], lower[idx], upper[idx])
         a, b = c1[idx], c2[idx]
-        fa = cond_cdf(a, d, sigma1, sigma2, lo, up)
-        fb = cond_cdf(b, d, sigma1, sigma2, lo, up)
+        fa = cond_cdf(a, *args)
+        fb = cond_cdf(b, *args)
         g1 = fb - fa - beta
-        g2 = cond_partial_moment(
-            a, b, d, sigma1, sigma2, lo, up, cdf_a=fa, cdf_b=fb
-        ) - target[idx]
+        g2 = cond_partial_moment(a, b, *args, cdf_a=fa, cdf_b=fb) - target[idx]
         conv = (np.abs(g1) <= tol1) & (np.abs(g2) <= tol2[idx])
-        pa = cond_pdf(a, d, sigma1, sigma2, lo, up)
-        pb = cond_pdf(b, d, sigma1, sigma2, lo, up)
+        pa = cond_pdf(a, *args)
+        pb = cond_pdf(b, *args)
         det = pa * pb * (a - b)
         bad = ~np.isfinite(det) | (det == 0.0) | ~np.isfinite(g1) | ~np.isfinite(g2)
         det = np.where(det == 0.0, 1.0, det)
         with np.errstate(divide="ignore", invalid="ignore"):
             da = (-b * pb * g1 + pb * g2) / det
             db = (-a * pa * g1 + pa * g2) / det
-        da = np.clip(da, -max_step, max_step)
-        db = np.clip(db, -max_step, max_step)
+        da = np.clip(da, -max_step[idx], max_step[idx])
+        db = np.clip(db, -max_step[idx], max_step[idx])
         frozen = conv | bad
         a_new = np.where(frozen, a, a + da)
         b_new = np.where(frozen, b, b + db)
         # Keep the pair ordered; collapse toward the midpoint if crossed.
         crossed = a_new >= b_new
         mid = 0.5 * (a_new + b_new)
-        gap = 1e-6 * sigma12
+        gap = 1e-6 * sigma12[idx]
         a_new = np.where(crossed, mid - gap, a_new)
         b_new = np.where(crossed, mid + gap, b_new)
 
@@ -117,21 +115,23 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
     quantile, where the size equation holds. Steps are clipped to one
     pooled sd. Returns (lower, upper, ok).
     """
-    shape, (observed, lower, upper) = flat_broadcast(observed, lower, upper)
+    shape, (observed, sigma1, sigma2, lower, upper) = flat_broadcast(
+        observed, sigma1, sigma2, lower, upper)
     n = observed.size
-    sigma12 = pooled_sd(sigma1, sigma2)
-    beta = 1.0 - alpha
     if seeds is None:
         seeds = batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper)
     seed_ok = np.ravel(seeds[2]).astype(bool)
-    half = ndtri(1.0 - 0.5 * alpha) * sigma12
+    naive = batch_naive_ci(observed, alpha, sigma1, sigma2)
     delta = np.concatenate([
-        np.where(seed_ok, np.ravel(seeds[0]), observed - half),
-        np.where(seed_ok, np.ravel(seeds[1]), observed + half),
+        np.where(seed_ok, np.ravel(seeds[0]), naive[0]),
+        np.where(seed_ok, np.ravel(seeds[1]), naive[1]),
     ])
     # side -1: the lower endpoints (c below the observation); +1: the upper.
     side = np.repeat([-1.0, 1.0], n)
-    x, lower, upper = (np.tile(v, 2) for v in (observed, lower, upper))
+    x, sigma1, sigma2, lower, upper = (
+        np.tile(v, 2) for v in (observed, sigma1, sigma2, lower, upper))
+    sigma12 = pooled_sd(sigma1, sigma2)
+    beta = 1.0 - alpha
     c = cond_quantile(np.where(side < 0, 0.5 * alpha, 1.0 - 0.5 * alpha),
                       delta, sigma1, sigma2, lower, upper)
     c = np.where(side * (c - x) > 0.0, c, x + side * sigma12)
@@ -142,8 +142,8 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
     for _ in range(50):
         if idx.size == 0:
             break
-        d, cc, xo, sd, lo, up = (v[idx] for v in (delta, c, x, side, lower, upper))
-        args = (d, sigma1, sigma2, lo, up)
+        d, cc, xo, sd, s12 = (v[idx] for v in (delta, c, x, side, sigma12))
+        args = (d, sigma1[idx], sigma2[idx], lower[idx], upper[idx])
         f_c, f_x = cond_cdf(np.stack([cc, xo]), *args)
         a, b = np.where(sd < 0, [cc, xo], [xo, cc])
         f_a, f_b = np.where(sd < 0, [f_c, f_x], [f_x, f_c])
@@ -157,8 +157,8 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
         # Jacobian: d/d delta from the covariance identity; d/dc of G1 and
         # G2 are side * f(c) and side * c * f(c), whose common factor
         # cancels from the delta step.
-        j11 = (m1 - prob * mean) / sigma12**2
-        j21 = (m2 - m1 * mean - beta * var) / sigma12**2
+        j11 = (m1 - prob * mean) / s12**2
+        j21 = (m2 - m1 * mean - beta * var) / s12**2
         den = j11 * cc - j21
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step_d = (g1 * cc - g2) / den
@@ -169,21 +169,21 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
         # shrinks because rounding in the residuals sets the floor (far
         # from the truncation the law barely depends on delta).
         last, last_step[idx] = last_step[idx], size
-        stalled = (last <= 1e-7 * sigma12) & (size > 0.5 * last)
+        stalled = (last <= 1e-7 * s12) & (size > 0.5 * last)
         conv = finite & (stalled | (
-            np.maximum(size, np.abs(step_c)) <= 1e-11 * sigma12))
-        c_new = cc - np.clip(step_c, -sigma12, sigma12)
+            np.maximum(size, np.abs(step_c)) <= 1e-11 * s12))
+        c_new = cc - np.clip(step_c, -s12, s12)
         # A cut that crosses the observation moves halfway towards it.
         c_new = np.where(sd * (c_new - xo) > 0.0, c_new, 0.5 * (cc + xo))
-        delta[idx[finite]] = (d - np.clip(step_d, -sigma12, sigma12))[finite]
+        delta[idx[finite]] = (d - np.clip(step_d, -s12, s12))[finite]
         c[idx[finite]] = c_new[finite]
         ok[idx[conv]] = True
         idx = idx[finite & ~conv]
 
     idx = np.flatnonzero(ok)
     ok[idx] = np.all(_slope_matches_density(
-        np.stack([c[idx], x[idx]]), delta[idx], sigma1, sigma2, lower[idx],
-        upper[idx]), axis=0)
+        np.stack([c[idx], x[idx]]), delta[idx], sigma1[idx], sigma2[idx],
+        lower[idx], upper[idx]), axis=0)
     ok = ok[:n] & ok[n:]
     return delta[:n].reshape(shape), delta[n:].reshape(shape), ok.reshape(shape)
 
@@ -197,24 +197,24 @@ def batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper):
     call, started at the naive endpoints, with the slope in delta from the
     covariance identity dF/d delta = (M(-inf, observed) - F mu) / sigma12^2.
     """
-    shape, (observed, lower, upper) = flat_broadcast(observed, lower, upper)
-    sigma12 = pooled_sd(sigma1, sigma2)
-    n = observed.size
+    shape, flat = flat_broadcast(observed, sigma1, sigma2, lower, upper)
+    n = flat[0].size
     q = np.repeat([1.0 - 0.5 * alpha, 0.5 * alpha], n)
-    observed, lower, upper = (np.tile(a, 2) for a in (observed, lower, upper))
+    observed, sigma1, sigma2, lower, upper = (np.tile(a, 2) for a in flat)
+    sigma12 = pooled_sd(sigma1, sigma2)
 
     def cdf_and_slope(delta, i):
-        args = (delta, sigma1, sigma2, lower[i], upper[i])
+        args = (delta, sigma1[i], sigma2[i], lower[i], upper[i])
         cdf = cond_cdf(observed[i], *args)
         m1 = cond_partial_moment(-np.inf, observed[i], *args, cdf_a=0.0,
                                  cdf_b=cdf)
-        return cdf, (m1 - cdf * cond_mean(*args)) / sigma12**2
+        return cdf, (m1 - cdf * cond_mean(*args)) / sigma12[i]**2
 
     root, ok = probit_newton(cdf_and_slope, observed - ndtri(q) * sigma12, q,
                              -1.0, sigma12, xtol=1e-10 * sigma12)
     idx = np.flatnonzero(ok)
-    ok[idx] = _slope_matches_density(observed[idx], root[idx], sigma1, sigma2,
-                                     lower[idx], upper[idx])
+    ok[idx] = _slope_matches_density(observed[idx], root[idx], sigma1[idx],
+                                     sigma2[idx], lower[idx], upper[idx])
     ok = ok[:n] & ok[n:]
     return root[:n].reshape(shape), root[n:].reshape(shape), ok.reshape(shape)
 
@@ -223,3 +223,30 @@ def batch_naive_ci(observed, alpha, sigma1, sigma2):
     observed = np.asarray(observed, dtype=float)
     half = ndtri(1.0 - 0.5 * alpha) * pooled_sd(sigma1, sigma2)
     return observed - half, observed + half
+
+
+def batch_intervals(observed, alpha, sigma1, sigma2, lower, upper, methods):
+    """``{method: (lower, upper, ok)}`` per element, for naive and each of
+    ``methods``.
+
+    naive is the z-interval everywhere. umau and tost equal it where both
+    bounds are infinite, since the law there is untruncated; on the other
+    elements tost is solved once and seeds umau. Arrays are flat.
+    """
+    _, (observed, sigma1, sigma2, lower, upper) = flat_broadcast(
+        observed, sigma1, sigma2, lower, upper)
+    naive = (*batch_naive_ci(observed, alpha, sigma1, sigma2),
+             np.ones(observed.shape, dtype=bool))
+    out = {m: naive for m in ("naive", *methods)}
+    rows = np.flatnonzero(np.isfinite(lower) | np.isfinite(upper))
+    if rows.size and set(methods) - {"naive"}:
+        args = (observed[rows], alpha, sigma1[rows], sigma2[rows], lower[rows],
+                upper[rows])
+        found = {"tost": batch_ctost_ci(*args)}
+        if "umau" in methods:
+            found["umau"] = batch_umau_ci(*args, seeds=found["tost"])
+        for m in set(methods) & set(found):
+            out[m] = tuple(v.copy() for v in naive)
+            for v, solution in zip(out[m], found[m]):
+                v[rows] = solution
+    return out

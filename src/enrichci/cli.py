@@ -163,13 +163,14 @@ def cmd_simulate(args):
     design = _design_from_config(config)
     rule = _rule_from_config(config, args.co_primary)
     methods = _methods_from(config, args)
-    replicates = args.replicates or int(_require(config, "replicates"))
+    replicates = (args.replicates if args.replicates is not None
+                  else int(_require(config, "replicates")))
     seed = args.seed if args.seed is not None else int(_require(config, "seed"))
     scenario = Scenario(
         design=design,
         rule=rule,
         true_deltas=tuple(_require(config, "deltas")),
-        replicates=int(replicates),
+        replicates=replicates,
         seed=int(seed),
         methods=methods,
     )

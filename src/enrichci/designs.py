@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .condnorm import ConditionalNormal
-from .intervals import model_intervals
+from .intervals import interval_estimates
 
 
 class ConfigurationError(ValueError):
@@ -149,9 +149,9 @@ class TruncationTarget:
     ``coprimary`` is None for the selected-population effect (the stage 1
     statistic is the pooled mean over ``members``); otherwise it names the
     subpopulation whose effect is estimated alongside full continuation.
-    ``unaltered`` marks decisions that constrain only a statistic
-    independent of this target, leaving its law untruncated. In a
-    ``BatchDecision`` the bounds are per-draw arrays, checked by the engine.
+    Infinite ``lower`` and ``upper`` leave the target's law untruncated. In
+    a ``BatchDecision`` the bounds are per-draw arrays, checked by the
+    engine.
     """
 
     name: str
@@ -161,7 +161,6 @@ class TruncationTarget:
     se1: float
     se2: float
     coprimary: Optional[int] = None
-    unaltered: bool = False
 
     def __post_init__(self):
         if np.ndim(self.lower) == 0 and not self.lower < self.upper:
@@ -244,8 +243,7 @@ class BatchDecision:
         ))
 
 
-def _outcome(design, members, lower, upper, coprimary_lower=(),
-             unaltered=False):
+def _outcome(design, members, lower, upper, coprimary_lower=()):
     """Outcome selecting ``members``; ``coprimary_lower`` holds, per
     subpopulation, the lower bound of its co-primary target under full
     continuation (the upper bound is infinite)."""
@@ -257,7 +255,6 @@ def _outcome(design, members, lower, upper, coprimary_lower=(),
             upper=upper,
             se1=design.stage1_se(members),
             se2=design.stage2_se_selected(),
-            unaltered=unaltered,
         )
     ]
     for m, sub_lower in enumerate(coprimary_lower, start=1):
@@ -275,8 +272,11 @@ def _outcome(design, members, lower, upper, coprimary_lower=(),
     return InterimDecision(members, tuple(targets))
 
 
-def _require_two_populations(design, rule_name):
-    if design.k != 2:
+def _check_means(design, means, rule_name=None):
+    if means.shape[1] != design.k:
+        raise ConfigurationError(f"stage 1 summary has {means.shape[1]} "
+                                 f"means, expected k={design.k}")
+    if rule_name and design.k != 2:
         raise ConfigurationError(f"{rule_name} requires k=2, got k={design.k}")
 
 
@@ -290,7 +290,7 @@ def batch_d1(design, means, z_star, co_primary=False):
     """Standardized-mean rule over an (N, 2) matrix of stage 1 means:
     keep everyone if the pooled Z-statistic clears ``z_star``, otherwise
     enrich to the higher-Z subpopulation (ties favor subpopulation 1)."""
-    _require_two_populations(design, "the Z-threshold rule")
+    _check_means(design, means, "the Z-threshold rule")
     n = len(means)
     p1, p2 = design.p
     m1, m2 = means[:, 0], means[:, 1]
@@ -320,7 +320,7 @@ def batch_d2(design, means, delta_star, co_primary=False):
     everyone if the pooled mean clears ``delta_star``; otherwise enrich to
     the best subpopulation (ties favor subpopulation 1) if it clears the
     threshold; otherwise stop for futility."""
-    _require_two_populations(design, "the mean-threshold rule")
+    _check_means(design, means, "the mean-threshold rule")
     n = len(means)
     p1, p2 = design.p
     m1, m2 = means[:, 0], means[:, 1]
@@ -352,16 +352,15 @@ def batch_kimani2015(design, means, delta_star):
 
     The continuation event constrains only the difference statistic,
     which is independent of the pooled full-population estimator, so the
-    full-population target is marked untruncated.
+    full-population target has infinite bounds.
     """
-    _require_two_populations(design, "the subgroup-advantage rule")
+    _check_means(design, means, "the subgroup-advantage rule")
     n = len(means)
     p1, p2 = design.p
     m1, m2 = means[:, 0], means[:, 1]
     advantage = m1 - (p1 * m1 + p2 * m2) / (p1 + p2)  # equals p2 * (m1 - m2)
     outcomes = (
-        _outcome(design, (1, 2), np.full(n, -math.inf), np.full(n, math.inf),
-                 unaltered=True),
+        _outcome(design, (1, 2), np.full(n, -math.inf), np.full(n, math.inf)),
         _outcome(design, (1,), m2 + delta_star / p2, np.full(n, math.inf)),
     )
     return BatchDecision(np.where(advantage > delta_star, 1, 0), outcomes)
@@ -372,6 +371,7 @@ def batch_kimani2018(design, means, delta_star):
     select the largest leading block {1..m} whose pooled stage 1 mean
     clears ``delta_star`` while every larger block fails; stop if no
     block qualifies. Outcome ``m`` selects block {1..m}; outcome 0 stops."""
+    _check_means(design, means)
     n, k = len(means), design.k
     cum_p = list(itertools.accumulate(design.p))
     cum_pm = np.cumsum(np.asarray(design.p) * means, axis=1)
@@ -440,8 +440,7 @@ def confidence_intervals(design, decision, s1, s2, methods, alpha=None):
     """Intervals for every target of a realized (non-futility) decision.
 
     Returns a list of IntervalEstimate, one per (target, method), in
-    target order then method order. Each truncated target solves tost
-    once, which also seeds its umau solve.
+    target order then method order, from one batch solve over all targets.
     """
     if decision.stopped:
         raise ConfigurationError(
@@ -449,12 +448,11 @@ def confidence_intervals(design, decision, s1, s2, methods, alpha=None):
         )
     methods = check_methods(methods)
     alpha = design.alpha if alpha is None else alpha
-    out = []
-    for target in decision.targets:
-        observed = pooled_estimate(design, decision, s1, s2, target)
-        model = ConditionalNormal(
-            0.0, target.se1, target.se2,
-            lower=target.lower, upper=target.upper,
-        )
-        out += model_intervals(model, observed, alpha, methods, target.name)
-    return out
+    rows = [
+        (target.name,
+         ConditionalNormal(0.0, target.se1, target.se2, lower=target.lower,
+                           upper=target.upper),
+         pooled_estimate(design, decision, s1, s2, target))
+        for target in decision.targets
+    ]
+    return interval_estimates(rows, alpha, methods)

@@ -75,42 +75,34 @@ def solve_umpu(model: ConditionalNormal, alpha: float) -> CriticalPair:
     return CriticalPair(float(c1), float(c2))
 
 
-def model_intervals(model: ConditionalNormal, observed: float, alpha: float,
-                    methods, target: str = "delta") -> list:
-    """The intervals named in ``methods``, in that order, at one observation.
+def interval_estimates(rows, alpha, methods) -> list:
+    """The intervals named in ``methods`` for each (target, model, observed)
+    row, in row order then method order.
 
-    tost is solved at most once, as a size-1 batch call, and seeds the
-    umau solve; a solve that does not converge raises ``NumericalError``.
-    Without truncation umau and tost collapse to the naive interval.
+    All rows are one ``batch.batch_intervals`` call; a solve that does not
+    converge raises ``NumericalError``.
     """
     if "umau" in methods:
         _check_alpha_umau(alpha)
     elif not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    observed = float(observed)
-    if not math.isfinite(observed):
+    _, models, observed = zip(*rows)
+    if not all(math.isfinite(x) for x in observed):
         raise ValueError(f"observed must be finite, got {observed}")
-    solved = {}
-    if model.truncated and set(methods) - {"naive"}:
-        geometry = (observed, alpha, model.sigma1, model.sigma2, model.lower,
-                    model.upper)
-        solved["tost"] = batch.batch_ctost_ci(*geometry)
-        if "umau" in methods:
-            solved["umau"] = batch.batch_umau_ci(*geometry,
-                                                 seeds=solved["tost"])
+    geometry = ([getattr(m, a) for m in models]
+                for a in ("sigma1", "sigma2", "lower", "upper"))
+    solved = batch.batch_intervals(observed, alpha, *geometry, methods)
     out = []
-    for method in methods:
-        if method not in solved:
-            out.append(naive_ci(observed, model.sigma12, alpha, target=target,
-                                method=method))
-            continue
-        lo, hi, ok = solved[method]
-        if not ok:
-            raise NumericalError(
-                f"{method} interval did not converge at "
-                f"observed={observed:.6g}, model={model}"
-            )
-        out.append(IntervalEstimate(float(lo), float(hi), method, alpha, target))
+    for i, (target, model, x) in enumerate(rows):
+        for method in methods:
+            lo, hi, ok = (v[i] for v in solved[method])
+            if not ok:
+                raise NumericalError(
+                    f"{method} interval did not converge at "
+                    f"observed={x:.6g}, model={model}"
+                )
+            out.append(IntervalEstimate(float(lo), float(hi), method, alpha,
+                                        target))
     return out
 
 
@@ -121,21 +113,22 @@ def umau_ci(model: ConditionalNormal, observed: float, alpha: float,
     ``model`` fixes the truncation geometry; its ``delta`` is irrelevant
     (the inversion sweeps delta).
     """
-    return model_intervals(model, observed, alpha, ("umau",), target)[0]
+    return interval_estimates([(target, model, observed)], alpha, ("umau",))[0]
 
 
 def ctost_ci(model: ConditionalNormal, observed: float, alpha: float,
              target: str = "delta") -> IntervalEstimate:
     """Invert two one-sided conditional tests at level alpha/2 each."""
-    return model_intervals(model, observed, alpha, ("tost",), target)[0]
+    return interval_estimates([(target, model, observed)], alpha, ("tost",))[0]
 
 
-def naive_ci(observed: float, se: float, alpha: float, target: str = "delta",
-             method: str = "naive") -> IntervalEstimate:
+def naive_ci(observed: float, se: float, alpha: float,
+             target: str = "delta") -> IntervalEstimate:
     """z-interval around the pooled estimate, ignoring the selection."""
     if not se > 0.0:
         raise ValueError(f"se must be positive, got {se}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     half = float(ndtri(1.0 - 0.5 * alpha)) * se
-    return IntervalEstimate(observed - half, observed + half, method, alpha, target)
+    return IntervalEstimate(observed - half, observed + half, "naive", alpha,
+                            target)

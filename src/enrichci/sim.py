@@ -189,31 +189,32 @@ def draw_stage1(scenario, index=0):
     return Stage1Summary(tuple(means[0]))
 
 
-def draw_stage2(scenario, decision, index=0):
-    """Stage 2 summary for one replicate given its realized decision."""
-    if decision.stopped:
-        raise ConfigurationError("a stopped trial has no stage 2")
+def _stage2_means(scenario, decision, u, rows):
+    """Stage 2 mean differences for the uniform ``rows`` of ``u``, whose
+    replicates took ``decision``: the selected-population means, and the
+    per-subpopulation means (None without co-primary targets)."""
     design = scenario.design
     k = design.k
-    u = _uniform_block(scenario.seed, index, 1, _stride(k))[0]
-    sub = None
     if any(t.coprimary is not None for t in decision.targets):
-        z = ndtri(u[k + 1:2 * k + 1])
-        ses = np.array(
-            [design.stage2_se_coprimary(m) for m in range(1, k + 1)]
-        )
-        sub = np.asarray(scenario.true_deltas) + ses * z
-        selected = float(
-            sum(design.p[m - 1] * sub[m - 1] for m in decision.selected)
-            / design.prevalence(decision.selected)
-        )
-        return Stage2Summary(selected, tuple(sub))
-    true_sel = sum(
-        design.p[m - 1] * scenario.true_deltas[m - 1]
-        for m in decision.selected
-    ) / design.prevalence(decision.selected)
-    z = float(ndtri(u[k]))
-    return Stage2Summary(true_sel + design.stage2_se_selected() * z)
+        z = ndtri(u[rows, k + 1:2 * k + 1])
+        ses = np.array([design.stage2_se_coprimary(m) for m in range(1, k + 1)])
+        subs = np.asarray(scenario.true_deltas) + ses * z
+        p_sel = design.prevalence(decision.selected)
+        return subs @ np.asarray(design.p) / p_sel, subs
+    truth = decision.targets[0].true_value(design, scenario.true_deltas)
+    return truth + design.stage2_se_selected() * ndtri(u[rows, k]), None
+
+
+def draw_stage2(scenario, decision, index=0):
+    """Stage 2 summary for one replicate given its realized decision: the
+    engine's draw for that replicate."""
+    if decision.stopped:
+        raise ConfigurationError("a stopped trial has no stage 2")
+    u = _uniform_block(scenario.seed, index, 1, _stride(scenario.design.k))
+    selected, subs = _stage2_means(scenario, decision, u, [0])
+    return Stage2Summary(
+        float(selected[0]), None if subs is None else tuple(subs[0])
+    )
 
 
 def _n_threads():
@@ -237,54 +238,6 @@ def _branch_key(label):
     return (1, label)
 
 
-def _target_sums(scenario, target, idx, observed, lower, upper, pool):
-    """Covered-count and width sums per method for one target over the
-    replicates ``idx`` of its branch, and the naive width sum."""
-    alpha = scenario.design.alpha
-    se1, se2 = target.se1, target.se2
-    truth = target.true_value(scenario.design, scenario.true_deltas)
-    truncated = not target.unaltered and (
-        np.isfinite(lower).any() or np.isfinite(upper).any()
-    )
-    naive_lo, naive_hi = batch.batch_naive_ci(observed, alpha, se1, se2)
-    solved = [m for m in scenario.methods if m != "naive"] if truncated else []
-
-    def run(s):
-        # tost is solved once per chunk: it is a method and umau's seed.
-        chunk = slice(s, s + _CHUNK)
-        args = (observed[chunk], alpha, se1, se2, lower[chunk], upper[chunk])
-        tost = batch.batch_ctost_ci(*args)
-        if "umau" not in solved:
-            return {"tost": tost}
-        return {"tost": tost, "umau": batch.batch_umau_ci(*args, seeds=tost)}
-
-    chunks = range(0, idx.size, _CHUNK) if solved else ()
-    # Only several chunks gain from the pool; one runs in this thread.
-    results = list((pool.map if pool and len(chunks) > 1 else map)(run, chunks))
-
-    sums = {}
-    for method in scenario.methods:
-        if method in solved:
-            lo, hi, ok = (
-                np.concatenate([r[method][i] for r in results])
-                for i in range(3)
-            )
-            bad = np.flatnonzero(~ok)
-            if bad.size:
-                raise NumericalError(
-                    f"{method} interval for target {target.name} did not "
-                    f"converge at replicate {idx[bad[0]]} "
-                    f"(seed {scenario.seed}); {bad.size} replicate(s) failed"
-                )
-        else:
-            lo, hi = naive_lo, naive_hi
-        sums[method] = (
-            float(np.sum((lo <= truth) & (truth <= hi))),
-            float(np.sum(hi - lo)),
-        )
-    return sums, float(np.sum(naive_hi - naive_lo))
-
-
 def _method_stats(methods, sums, naive_width_sum, count):
     naive_width = naive_width_sum / count
     stats = []
@@ -303,96 +256,120 @@ def _method_stats(methods, sums, naive_width_sum, count):
     return tuple(stats)
 
 
+def _solve_rows(scenario, rows):
+    """``batch_intervals`` over the ``rows`` (observed, se1, se2, lower,
+    upper), one call per ``_CHUNK`` of them; several share a pool."""
+    # Chunks bound the solvers' working arrays; naive intervals need none.
+    size = _CHUNK if set(scenario.methods) - {"naive"} else rows[0].size + 1
+    starts = range(0, rows[0].size or 1, size)
+
+    def solve(s):
+        observed, *geometry = (r[s:s + size] for r in rows)
+        return batch.batch_intervals(observed, scenario.design.alpha,
+                                     *geometry, scenario.methods)
+
+    threads = _n_threads()
+    several = threads > 1 and len(starts) > 1
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list((pool.map if several else map)(solve, starts))
+    return results[0] if len(results) == 1 else {
+        m: [np.concatenate([r[m][i] for r in results]) for i in range(3)]
+        for m in results[0]
+    }
+
+
 def run_scenario(scenario):
     """Simulate, decide, estimate and aggregate one scenario.
 
     Deterministic given (scenario, seed); independent of thread count.
     """
     design = scenario.design
-    k = design.k
     n_total = scenario.replicates
     stage1, u = _stage1_matrix(scenario, 0, n_total)
     decided = scenario.rule.decide_batch(design, stage1)
     outcomes = decided.outcomes
     counts = np.bincount(decided.branch, minlength=len(outcomes))
+    order = sorted(np.flatnonzero(counts),
+                   key=lambda j: _branch_key(outcomes[j].label))
+    replicates = {j: np.flatnonzero(decided.branch == j) for j in order}
 
-    sel_se2 = design.stage2_se_selected()
+    parts = [[np.empty(0)] * 5]  # so that a scenario that always stops works
+    for j in order:
+        outcome, idx = outcomes[j], replicates[j]
+        if outcome.stopped:
+            continue
+        p_sel = design.prevalence(outcome.selected)
+        sel2, subs2 = _stage2_means(scenario, outcome, u, idx)
+        for t in outcome.targets:
+            lower, upper = t.lower[idx], t.upper[idx]
+            bad = np.flatnonzero(~(lower < upper))
+            if bad.size:
+                raise ConfigurationError(
+                    f"target {t.name}: empty constraint "
+                    f"({lower[bad[0]]}, {upper[bad[0]]}) at replicate "
+                    f"{idx[bad[0]]} (seed {scenario.seed})"
+                )
+            if t.coprimary is None:
+                members = np.asarray(t.members) - 1
+                w = np.asarray(design.p)[members] / p_sel
+                v1 = stage1[idx][:, members] @ w
+                v2 = sel2
+            else:
+                v1 = stage1[idx, t.coprimary - 1]
+                v2 = subs2[:, t.coprimary - 1]
+            tau1 = 1.0 / t.se1**2
+            tau2 = 1.0 / t.se2**2
+            observed = (tau1 * v1 + tau2 * v2) / (tau1 + tau2)
+            parts.append(np.broadcast_arrays(observed, t.se1, t.se2, lower,
+                                             upper))
+    rows = [np.concatenate(column) for column in zip(*parts)]
+    solved = _solve_rows(scenario, rows)
+    naive_lo, naive_hi, _ = solved["naive"]
+
     branch_results = []
     # Covered and width sums of the selected-population targets.
     totals = {m: (0.0, 0.0) for m in scenario.methods}
     total_naive_width = 0.0
     total_count = 0
-
-    threads = _n_threads()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for j in sorted(np.flatnonzero(counts),
-                        key=lambda j: _branch_key(outcomes[j].label)):
-            outcome = outcomes[j]
-            idx = np.flatnonzero(decided.branch == j)
-            count = idx.size
-            proportion = count / n_total
-            prop_half = _mc_halfwidth(proportion, n_total)
-            if outcome.stopped:
-                branch_results.append(BranchResult(
-                    "stop", "stop", count, proportion, prop_half, ()
-                ))
-                continue
-            selected = outcome.selected
-            p_sel = design.prevalence(selected)
-            true_sel = sum(
-                design.p[m - 1] * scenario.true_deltas[m - 1] for m in selected
-            ) / p_sel
-
-            # Stage 2 draws for this branch.
-            if any(t.coprimary is not None for t in outcome.targets):
-                z = ndtri(u[idx, k + 1:2 * k + 1])
-                ses2 = np.array(
-                    [design.stage2_se_coprimary(m) for m in range(1, k + 1)]
-                )
-                subs2 = np.asarray(scenario.true_deltas) + ses2 * z
-                sel2 = subs2 @ np.asarray(design.p) / p_sel
-            else:
-                subs2 = None
-                sel2 = true_sel + sel_se2 * ndtri(u[idx, k])
-
-            for t in outcome.targets:
-                lower, upper = t.lower[idx], t.upper[idx]
-                bad = np.flatnonzero(~(lower < upper))
+    start = 0
+    for j in order:
+        outcome, idx = outcomes[j], replicates[j]
+        count = idx.size
+        proportion = count / n_total
+        prop_half = _mc_halfwidth(proportion, n_total)
+        if outcome.stopped:
+            branch_results.append(BranchResult(
+                "stop", "stop", count, proportion, prop_half, ()
+            ))
+        for t in outcome.targets:
+            rows_t = slice(start, start + count)
+            start += count
+            truth = t.true_value(design, scenario.true_deltas)
+            sums = {}
+            for method in scenario.methods:
+                lo, hi, ok = (v[rows_t] for v in solved[method])
+                bad = np.flatnonzero(~ok)
                 if bad.size:
-                    raise ConfigurationError(
-                        f"target {t.name}: empty constraint "
-                        f"({lower[bad[0]]}, {upper[bad[0]]}) at replicate "
-                        f"{idx[bad[0]]} (seed {scenario.seed})"
+                    raise NumericalError(
+                        f"{method} interval for target {t.name} did not "
+                        f"converge at replicate {idx[bad[0]]} "
+                        f"(seed {scenario.seed}); {bad.size} replicate(s) "
+                        "failed"
                     )
-                if t.coprimary is None:
-                    members = np.asarray(t.members) - 1
-                    w = np.asarray(design.p)[members] / p_sel
-                    v1 = stage1[idx][:, members] @ w
-                    v2 = sel2
-                else:
-                    v1 = stage1[idx, t.coprimary - 1]
-                    v2 = subs2[:, t.coprimary - 1]
-                tau1 = 1.0 / t.se1**2
-                tau2 = 1.0 / t.se2**2
-                observed = (tau1 * v1 + tau2 * v2) / (tau1 + tau2)
-                sums, naive_width = _target_sums(
-                    scenario, t, idx, observed, lower, upper, pool
+                sums[method] = (
+                    float(np.sum((lo <= truth) & (truth <= hi))),
+                    float(np.sum(hi - lo)),
                 )
-                branch_results.append(BranchResult(
-                    outcome.label, t.name, count, proportion, prop_half,
-                    _method_stats(scenario.methods, sums, naive_width, count),
-                ))
-                if t is outcome.targets[0]:  # selected population
-                    total_count += count
-                    total_naive_width += naive_width
-                    for m, (covered, width) in sums.items():
-                        totals[m] = (
-                            totals[m][0] + covered, totals[m][1] + width
-                        )
-    finally:
-        if pool:
-            pool.shutdown()
+            naive_width = float(np.sum(naive_hi[rows_t] - naive_lo[rows_t]))
+            branch_results.append(BranchResult(
+                outcome.label, t.name, count, proportion, prop_half,
+                _method_stats(scenario.methods, sums, naive_width, count),
+            ))
+            if t is outcome.targets[0]:  # selected population
+                total_count += count
+                total_naive_width += naive_width
+                for m, (covered, width) in sums.items():
+                    totals[m] = (totals[m][0] + covered, totals[m][1] + width)
 
     overall = _method_stats(
         scenario.methods, totals, total_naive_width, total_count

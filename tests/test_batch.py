@@ -28,6 +28,7 @@ from enrichci import (
     solve_umpu,
     umau_ci,
 )
+from enrichci import _kernels
 from enrichci._kernels import (
     cond_cdf,
     cond_mean,
@@ -37,9 +38,10 @@ from enrichci._kernels import (
     pooled_sd,
     probit_newton,
 )
-from enrichci._normal import log_norm_prob_range, norm_pdf
+from enrichci._normal import bvn_cdf, log_norm_prob_range, norm_pdf
 from enrichci.batch import (
     batch_ctost_ci,
+    batch_intervals,
     batch_naive_ci,
     batch_solve_umpu,
     batch_umau_ci,
@@ -597,3 +599,73 @@ class TestProbitNewtonSafeguards:
         root, ok = probit_newton(cdf_and_pdf, np.array([3.0]), np.array([0.5]),
                                  1.0, 1.0, xtol=1e-13)
         assert bool(ok[0]) and abs(root[0]) <= 1e-12
+
+
+class TestPerElementGeometry:
+    """Each element carries its own sigma1, sigma2 and bounds: one stacked
+    call returns, bit for bit, what one call per geometry returns."""
+
+    SIGMAS = [(1.0, 1.0), (0.6, 1.3)]
+    # (lower, upper, observations): one- and two-sided, untruncated, and a
+    # bound 3 sigma1 out, whose endpoint solves reach the deep-tail path.
+    CASES = [
+        (0.0, math.inf, (0.1, 0.8, 1.7)),
+        (-math.inf, 0.4, (-1.1, 0.0, 0.3)),
+        (-0.3, 0.9, (-0.2, 0.3, 0.8)),
+        (-math.inf, math.inf, (-0.5, 2.0)),
+        (3.0, math.inf, (2.3, 3.1, 3.8)),
+    ]
+
+    def test_stacked_call_equals_per_geometry_calls(self, monkeypatch):
+        rows = [(x, s1, s2, lo, up) for s1, s2 in self.SIGMAS
+                for lo, up, xs in self.CASES for x in xs]
+        order = np.random.default_rng(11).permutation(len(rows))
+        columns = np.array([rows[i] for i in order]).T
+
+        # Kernel elements on the closed-form and on the deep-tail path.
+        paths = np.zeros(2, dtype=int)
+        patch_deep = _kernels._patch_deep
+
+        def counted(out, a1, b1, *args):
+            deep = _kernels.log_norm_prob_range(a1, b1) < _kernels._DEEP_LOG_DEN
+            paths[:] += np.bincount(np.broadcast_to(deep, np.shape(out)).ravel(),
+                                    minlength=2)
+            return patch_deep(out, a1, b1, *args)
+
+        monkeypatch.setattr(_kernels, "_patch_deep", counted)
+        methods = ("naive", "umau", "tost")
+        stacked = batch_intervals(columns[0], 0.05, *columns[1:], methods)
+        monkeypatch.undo()
+        assert paths.min() > 0
+        for m in methods:
+            assert bool(np.all(stacked[m][2])), m
+
+        for s1, s2 in self.SIGMAS:
+            for lo, up, _ in self.CASES:
+                at = np.flatnonzero((columns[1] == s1) & (columns[3] == lo)
+                                    & (columns[4] == up))
+                alone = batch_intervals(columns[0][at], 0.05, s1, s2, lo, up,
+                                        methods)
+                for m in methods:
+                    for got, want in zip(stacked[m], alone[m]):
+                        assert np.array_equal(got[at], want), (s1, lo, up, m)
+
+    def test_untruncated_elements_are_naive(self):
+        out = batch_intervals([0.2, 0.2], 0.05, 1.0, 1.0, [-np.inf, 0.0],
+                              np.inf, ("naive", "umau", "tost"))
+        for m in ("umau", "tost"):
+            assert out[m][0][0] == out["naive"][0][0]
+            assert out[m][1][0] == out["naive"][1][0]
+            assert out[m][0][1] < out["naive"][0][1]
+
+    def test_bvn_cdf_array_rho(self):
+        rng = np.random.default_rng(4)
+        h = np.concatenate([rng.normal(0.0, 2.0, 40), [0.0, -np.inf, np.inf]])
+        k = np.concatenate([rng.normal(0.0, 2.0, 40), [0.0, 1.0, -0.5]])
+        rho = rng.uniform(-0.999, 0.999, h.size)
+        got = bvn_cdf(h, k, rho)
+        want = [bvn_cdf(a, b, float(r)) for a, b, r in zip(h, k, rho)]
+        assert np.array_equal(got, want)
+        for bad in (1.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="correlation"):
+                bvn_cdf(h[:2], k[:2], [0.5, bad])

@@ -196,6 +196,16 @@ class TestCmdSimulate:
         methods = {line.split(",")[2] for line in lines[1:]}
         assert methods <= {"naive", "none"}
 
+    def test_zero_replicates_flag_is_config_error(self, tmp_path, capsys):
+        # 0 is an override, not an absent flag: the scenario rejects it.
+        cfg = write_config(tmp_path, SIM_CONFIG)
+        code, lines, err = run(
+            ["simulate", "--config", cfg, "--replicates", "0"], capsys
+        )
+        assert code == 2
+        assert lines == []
+        assert "replicates must be >= 1, got 0" in err
+
     def test_umau_coverage_within_band(self, tmp_path, capsys):
         # Scenario 3 fast tier: every umau coverage lies in the binomial
         # band around 95% at the total replicate count.

@@ -16,6 +16,7 @@ import pytest
 from enrichci import (
     ConditionalNormal,
     ConfigurationError,
+    DecisionRule,
     Stage1Summary,
     Stage2Summary,
     TrialDesign,
@@ -139,7 +140,7 @@ class TestAuxiliaryDifferenceRule:
         dec = apply_kimani2015(self.DESIGN, Stage1Summary((0.5, 0.5)), 0.1)
         assert dec.selected == (1, 2)
         (t,) = dec.targets
-        assert t.unaltered
+        assert t.lower == -math.inf and t.upper == math.inf
 
     def test_negative_difference_never_enriches(self):
         dec = apply_kimani2015(self.DESIGN, Stage1Summary((0.5, 1.0)), 0.1)
@@ -250,8 +251,8 @@ class TestConfidenceIntervals:
             assert ci.upper == pytest.approx(hi, abs=1e-3), (ci.target, ci.method)
 
     def test_one_tost_solve_per_truncated_target(self, monkeypatch):
-        # tost is solved once per target and seeds umau; the intervals
-        # match the scalar constructions.
+        # tost is solved once, for all targets in one call, and seeds
+        # umau; the intervals match the scalar constructions.
         solve = batch.batch_ctost_ci
         calls = []
 
@@ -266,7 +267,8 @@ class TestConfidenceIntervals:
         cis = confidence_intervals(
             EXAMPLE_DESIGN, dec, s1, s2, ("naive", "umau", "tost")
         )
-        assert len(calls) == len(dec.targets) == 3
+        assert len(dec.targets) == 3
+        assert len(calls) == 1
         scalar = {"umau": umau_ci, "tost": ctost_ci}
         for ci in cis:
             if ci.method == "naive":
@@ -586,6 +588,16 @@ class TestBatchRules:
                 lower = np.broadcast_to(t.lower, rows.shape)[rows]
                 upper = np.broadcast_to(t.upper, rows.shape)[rows]
                 assert bool(np.all(lower < upper)), (case, t.name)
+
+    @pytest.mark.parametrize("rule,args", [
+        (apply_d1, (1.0,)), (apply_d2, (0.1,)), (apply_kimani2015, (0.1,)),
+        (apply_kimani2018, (0.1,)), (DecisionRule("d1", 1.0).decide, ()),
+    ])
+    def test_stage1_length_must_match_k(self, rule, args):
+        # Three means on a k=2 design used to decide from the first two,
+        # or to fail in a numpy broadcast.
+        with pytest.raises(ConfigurationError, match="expected k=2"):
+            rule(SIM_DESIGN, Stage1Summary((0.1, 0.2, 0.3)), *args)
 
     def test_one_ulp_means_decide(self):
         means = Stage1Summary((1.0000000000000002,) * 2)

@@ -106,6 +106,26 @@ class TestDrawStage2:
             agg = 0.5 * s2.sub_means[0] + 0.5 * s2.sub_means[1]
             assert s2.selected_mean == pytest.approx(agg, abs=1e-12)
 
+    @pytest.mark.parametrize("co_primary", [False, True])
+    def test_is_the_engine_draw_of_that_replicate(self, co_primary):
+        rule = DecisionRule("d2", 1.0, co_primary=co_primary)
+        sc = scenario(replicates=300, rule=rule, deltas=(0.5, 0.0))
+        stage1, u = sim._stage1_matrix(sc, 0, 300)
+        decided = rule.decide_batch(DESIGN, stage1)
+        checked = 0
+        for j, outcome in enumerate(decided.outcomes):
+            idx = np.flatnonzero(decided.branch == j)
+            if outcome.stopped or not idx.size:
+                continue
+            selected, subs = sim._stage2_means(sc, outcome, u, idx)
+            for row, i in enumerate(idx):
+                s2 = draw_stage2(sc, decided.decision(i), i)
+                assert s2.selected_mean == selected[row]
+                assert s2.sub_means == (
+                    None if subs is None else tuple(subs[row]))
+                checked += 1
+        assert checked > 100
+
     def test_futility_rejected(self):
         sc = scenario(replicates=1)
         dec = sc.rule.decide(DESIGN, Stage1Summary((0.0, 0.0)))
@@ -178,6 +198,22 @@ class TestRunScenario:
         assert threads
         main = threading.current_thread()
         assert all((t is not main) == in_pool for t in threads)
+
+    def test_one_tost_solve_per_scenario(self, monkeypatch):
+        # Every branch x target of a single-chunk scenario is one stacked
+        # solve; three d1 branches used to make three.
+        solver = batch.batch_ctost_ci
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "batch_ctost_ci", counted)
+        res = run_scenario(scenario(replicates=500, rule=DecisionRule("d1", 1.0)))
+        assert {b.branch for b in res.branches} == {"full", "sub1", "sub2"}
+        assert len(calls) == 1
+        assert calls[0][0].size == 500
 
     @pytest.mark.parametrize(
         "method,name", [("umau", "batch_umau_ci"), ("tost", "batch_ctost_ci")]
