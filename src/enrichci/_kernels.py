@@ -268,6 +268,9 @@ def probit_newton(f, x, q, sign, step, xtol):
     towards the root while it is open on that side. Only a Newton step
     converges: probit residual at most 1e-6, and a step below ``xtol`` or
     stalled at the rounding floor (under 1e-7 ``step``, no longer halving).
+    An element with that residual whose bracket has shrunk to ``xtol``
+    also converges, at its evaluated point: where F is noisy at the
+    rounding level, Newton may keep pointing out of such a bracket.
     ``step`` and ``xtol`` broadcast to ``x``.
     """
     x = np.array(x, dtype=float)
@@ -281,25 +284,28 @@ def probit_newton(f, x, q, sign, step, xtol):
     for _ in range(100):
         if idx.size == 0:
             break
-        xi, step_i = x[idx], step[idx]
+        xi, step_i, xtol_i = x[idx], step[idx], xtol[idx]
         fx, dfx = f(xi, idx)
         z = ndtri(fx)
         resid = z - zq[idx]
         towards = -sign * np.sign(resid)  # +1: the root lies above xi
-        lo[idx] = np.where(towards > 0, xi, lo[idx])
-        hi[idx] = np.where(towards < 0, xi, hi[idx])
+        lo_i = np.where(towards > 0, xi, lo[idx])
+        hi_i = np.where(towards < 0, xi, hi[idx])
+        lo[idx], hi[idx] = lo_i, hi_i
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = np.where(towards == 0, 0.0, -resid * norm_pdf(z) / dfx)
         size = np.abs(newton)
         last_i, last[idx] = last[idx], size
         stalled = (size <= 1e-7 * step_i) & (size > 0.5 * last_i)
-        conv = (np.abs(resid) <= 1e-6) & ((size <= xtol[idx]) | stalled)
+        settled = (size <= xtol_i) | stalled
+        conv = (np.abs(resid) <= 1e-6) & (settled | (hi_i - lo_i <= xtol_i))
         x_new = xi + np.clip(newton, -step_i, step_i)
-        guard = ~conv & ~((towards * newton > 0) & (x_new > lo[idx])
-                          & (x_new < hi[idx]))
-        ahead = np.where(towards > 0, hi[idx], lo[idx])
+        guard = ~conv & ~((towards * newton > 0) & (x_new > lo_i)
+                          & (x_new < hi_i))
+        ahead = np.where(towards > 0, hi_i, lo_i)
         x_new = np.where(guard, np.where(np.isfinite(ahead), 0.5 * (xi + ahead),
                                          xi + towards * step_i), x_new)
+        x_new = np.where(conv & ~settled, xi, x_new)
         last[idx[guard]] = np.inf
         live = np.isfinite(x_new) & np.isfinite(fx)
         x[idx[live]] = x_new[live]

@@ -55,7 +55,10 @@ def _owens_t_ratio(x, num, den):
     den = np.asarray(den, dtype=float)
     deg = (den == 0.0)
     safe_den = np.where(deg, 1.0, den)
-    a = num / safe_den
+    # A subnormal den overflows the ratio to +/-inf, where owens_t takes
+    # the same limit.
+    with np.errstate(over="ignore"):
+        a = num / safe_den
     t = owens_t(x, np.where(deg, 0.0, a))
     # T(x, +/-inf) = +/- (1 - Phi(|x|)) / 2
     t_inf = np.sign(num) * 0.5 * ndtr(-np.abs(x))

@@ -3,33 +3,20 @@
 ``ConditionalNormal`` models the precision-weighted pool of two Gaussian
 estimates of a common effect, conditioned on the stage 1 estimate falling
 in an interval. Density, CDF, quantile, mean and truncated first moments
-are exposed with two evaluation paths: fast closed forms (default) and an
-adaptive-quadrature reference path used as the slow authoritative oracle.
+are size-1 calls of the array kernels in ``_kernels``.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
 
 from . import _kernels
 from ._normal import log_norm_prob_range
 
 _MIN_LOG_SELECTION_PROB = math.log(1e-300)
 
-#: Methods accepted by cdf/partial_moment/quantile.
-_METHODS = ("closed", "quadrature")
-
 
 class NumericalError(RuntimeError):
     """A root-finder or quadrature failed to meet its tolerance."""
-
-
-def _check_method(method):
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
 
 
 @dataclass(frozen=True)
@@ -104,84 +91,38 @@ class ConditionalNormal:
         x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"x must be finite, got {x}")
-        d, s1, s2, l, u = self._args()
-        return float(_kernels.cond_pdf(x, d, s1, s2, l, u))
+        return float(_kernels.cond_pdf(x, *self._args()))
 
     def logpdf(self, x):
         x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"x must be finite, got {x}")
-        d, s1, s2, l, u = self._args()
-        return float(_kernels.cond_logpdf(x, d, s1, s2, l, u))
+        return float(_kernels.cond_logpdf(x, *self._args()))
 
-    # -- CDF ------------------------------------------------------------
+    # -- CDF and quantile -----------------------------------------------
 
-    def _support(self):
-        # Interval carrying all but ~1e-25 of the conditional mass.
-        center = self.mean()
-        return center - 12.0 * self.sigma12, center + 12.0 * self.sigma12
-
-    def cdf(self, x, method="closed"):
-        _check_method(method)
+    def cdf(self, x):
         x = float(x)
         if math.isnan(x):
             raise ValueError("x must not be NaN")
-        d, s1, s2, l, u = self._args()
-        if method == "closed":
-            if x == math.inf:
-                return 1.0
-            if x == -math.inf:
-                return 0.0
-            return float(_kernels.cond_cdf(x, d, s1, s2, l, u))
-        lo, hi = self._support()
-        if x <= lo:
-            return 0.0
-        if x >= hi:
-            return 1.0
-        val, err = integrate.quad(
-            self.pdf, lo, x, epsabs=1e-12, epsrel=1e-10, limit=200
-        )
-        if err > 1e-9:
-            raise NumericalError(f"cdf quadrature error estimate {err:.2e} too large")
-        return min(max(val, 0.0), 1.0)
+        return float(_kernels.cond_cdf(x, *self._args()))
 
-    # -- quantile -------------------------------------------------------
-
-    def quantile(self, q, method="closed"):
-        _check_method(method)
+    def quantile(self, q):
         q = float(q)
         if not 0.0 < q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {q}")
-        cdf = lambda x: self.cdf(x, method=method)
-        # Geometric bracket expansion from the untruncated mean.
-        step = self.sigma12
-        lo, hi = self.delta - step, self.delta + step
-        for _ in range(60):
-            if cdf(lo) <= q:
-                break
-            lo -= step
-            step *= 2.0
-        else:
-            raise NumericalError("quantile bracket expansion failed (lower)")
-        step = self.sigma12
-        for _ in range(60):
-            if cdf(hi) >= q:
-                break
-            hi += step
-            step *= 2.0
-        else:
-            raise NumericalError("quantile bracket expansion failed (upper)")
-        return brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-13, rtol=8.9e-16)
+        x = float(_kernels.cond_quantile(q, *self._args()))
+        if math.isnan(x):
+            raise NumericalError(f"quantile {q} did not converge for {self}")
+        return x
 
     # -- moments --------------------------------------------------------
 
     def mean(self):
-        d, s1, s2, l, u = self._args()
-        return float(_kernels.cond_mean(d, s1, s2, l, u))
+        return float(_kernels.cond_mean(*self._args()))
 
-    def partial_moment(self, a, b, method="closed"):
+    def partial_moment(self, a, b):
         """Integral of t * pdf(t) over (a, b); extended reals allowed."""
-        _check_method(method)
         a, b = float(a), float(b)
         if math.isnan(a) or math.isnan(b):
             raise ValueError("bounds must not be NaN")
@@ -189,19 +130,4 @@ class ConditionalNormal:
             raise ValueError(f"need a <= b, got a={a}, b={b}")
         if a == b:
             return 0.0
-        d, s1, s2, l, u = self._args()
-        if method == "closed":
-            return float(_kernels.cond_partial_moment(a, b, d, s1, s2, l, u))
-        lo, hi = self._support()
-        a_eff, b_eff = max(a, lo), min(b, hi)
-        if a_eff >= b_eff:
-            return 0.0
-        val, err = integrate.quad(
-            lambda t: t * self.pdf(t), a_eff, b_eff,
-            epsabs=1e-12, epsrel=1e-10, limit=200,
-        )
-        if err > 1e-10:
-            raise NumericalError(
-                f"partial moment quadrature error estimate {err:.2e} too large"
-            )
-        return val
+        return float(_kernels.cond_partial_moment(a, b, *self._args()))

@@ -39,6 +39,8 @@ from enrichci import (
     umau_ci,
 )
 
+from oracle import brentq_quantile, quad_cdf, quad_partial_moment
+
 REPLICATES = int(os.environ.get("ENRICH_CI_ACCEPTANCE_REPLICATES", "20000"))
 FULL_TIER = REPLICATES >= 100_000
 PP = 0.005 if FULL_TIER else 0.010  # coverage/proportion band
@@ -226,10 +228,13 @@ class TestPropertySuite:
             m = random_truncated_model(rng)
             # Truncated first moment of the acceptance interval rises in c1.
             c1_grid = np.linspace(
-                m.quantile(1e-6), m.quantile(alpha * (1 - 1e-6)), 6
+                brentq_quantile(m, 1e-6),
+                brentq_quantile(m, alpha * (1 - 1e-6)), 6
             )
             vals = [
-                m.partial_moment(c1, m.quantile(m.cdf(c1) + 1 - alpha))
+                m.partial_moment(
+                    c1, brentq_quantile(m, m.cdf(c1) + 1 - alpha)
+                )
                 for c1 in c1_grid
             ]
             assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -246,12 +251,10 @@ class TestPropertySuite:
             m = random_truncated_model(rng)
             pair = solve_umpu(m, alpha)
             size = (
-                m.cdf(pair.c2, method="quadrature")
-                - m.cdf(pair.c1, method="quadrature")
-                - (1 - alpha)
+                quad_cdf(m, pair.c2) - quad_cdf(m, pair.c1) - (1 - alpha)
             )
-            moment = m.partial_moment(
-                pair.c1, pair.c2, method="quadrature"
+            moment = quad_partial_moment(
+                m, pair.c1, pair.c2
             ) - (1 - alpha) * m.mean()
             assert abs(size) <= 1e-7 and abs(moment) <= 1e-7
 

@@ -47,6 +47,8 @@ from enrichci.batch import (
     batch_umau_ci,
 )
 
+from oracle import brentq_quantile, quad_cdf, quad_partial_moment
+
 
 GEOMETRIES = [
     (1.0, 1.0, 0.0, math.inf),
@@ -113,13 +115,13 @@ def _solve_umpu_bracketed(model: ConditionalNormal, alpha: float) -> CriticalPai
     target = beta * model.mean()
 
     def upper_cut(c1):
-        return model.quantile(min(model.cdf(c1) + beta, 1.0 - 1e-15))
+        return brentq_quantile(model, min(model.cdf(c1) + beta, 1.0 - 1e-15))
 
     def residual(c1):
         return model.partial_moment(c1, upper_cut(c1)) - target
 
-    lo = model.quantile(1e-8)
-    hi = model.quantile(alpha * (1.0 - 1e-8))
+    lo = brentq_quantile(model, 1e-8)
+    hi = brentq_quantile(model, alpha * (1.0 - 1e-8))
     r_lo, r_hi = residual(lo), residual(hi)
     if not r_lo < 0.0 < r_hi:
         raise NumericalError(
@@ -364,7 +366,7 @@ def _umau_equation_error(geom, observed, est, alpha, quadrature=False):
     relative to sigma12 + |mean|. The kernels are called directly, because
     an endpoint's selection probability may lie below what
     ``ConditionalNormal`` accepts. ``quadrature=True`` evaluates the CDF
-    and the moment by ``ConditionalNormal``'s adaptive quadrature instead,
+    and the moment by the adaptive quadrature of ``oracle`` instead,
     which does not share the kernels' loss of accuracy as rho nears 1.
     """
     beta = 1.0 - alpha
@@ -375,12 +377,12 @@ def _umau_equation_error(geom, observed, est, alpha, quadrature=False):
 
         def cdf(t):
             if quadrature:
-                return law.cdf(t, method="quadrature")
+                return quad_cdf(law, t)
             return float(cond_cdf(t, delta, *args))
 
         def moment(a, b):
             if quadrature:
-                return law.partial_moment(a, b, method="quadrature")
+                return quad_partial_moment(law, a, b)
             return float(cond_partial_moment(a, b, delta, *args))
 
         f_obs = cdf(observed)
@@ -464,7 +466,7 @@ class TestTostGuard:
                     law = model.at(delta)
                 except ValueError:
                     continue
-                cdf = law.cdf(x, method="quadrature")
+                cdf = quad_cdf(law, x)
                 assert abs(cdf - tail) <= 1e-7, (x, delta, cdf)
                 checked += 1
         assert checked > 0
@@ -589,6 +591,23 @@ class TestProbitNewtonSafeguards:
         q = np.array([1e-3, 0.999])
         x = cond_quantile(q, 0.0, 0.05, 1.0, -0.025, 0.025)
         assert np.max(np.abs(cond_cdf(x, 0.0, 0.05, 1.0, -0.025, 0.025) - q)) <= 1e-13
+
+    @pytest.mark.parametrize("q,delta,s1,s2,lower,upper", [
+        (1e-06, 1.2894953101722817, 1.5439661866619299, 0.8506441749900506,
+         6.6388921236636556, 8.211501562161601),
+        (0.999999, -0.5774516544728563, 2.7623321216911125, 2.304311125303496,
+         9.273533616544212, math.inf),
+        (1e-06, 1.4409098222708607, 2.340936365604448, 1.118514370879216,
+         9.715529873412555, math.inf),
+    ])
+    def test_collapsed_bracket_converges(self, q, delta, s1, s2, lower, upper):
+        # Deep in the tail the CDF is noisy at the rounding level: the
+        # bracket shrinks to a few ulps while Newton keeps pointing out of
+        # it, and bisection revisits the same point.
+        args = (delta, s1, s2, lower, upper)
+        x = cond_quantile(q, *args)
+        assert np.isfinite(x)
+        assert abs(cond_cdf(x, *args) - q) <= 1e-11
 
     def test_convergence_needs_a_small_residual(self):
         # A misreported slope makes the first Newton step tiny and the

@@ -1,21 +1,30 @@
 """Tests for the conditional law of the pooled two-stage estimate.
 
 Oracles used here are independent of the implementation under test:
-accept-reject Monte Carlo on the underlying pair of Gaussian stages, and
+accept-reject Monte Carlo on the underlying pair of Gaussian stages,
 dense-grid / adaptive quadrature of the density formula written out
-longhand with scipy primitives.
+longhand with scipy primitives, and the quadrature and ``brentq``
+references of ``oracle``.
 """
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from enrichci import ConditionalNormal
+import enrichci
+from enrichci import ConditionalNormal, NumericalError, _kernels
 from enrichci._kernels import cond_cdf, cond_partial_moment, pooled_sd
 from enrichci._normal import bvn_cdf, norm_prob_range
+
+from oracle import brentq_quantile, quad_cdf, quad_partial_moment
 
 
 def reference_pdf(x, delta, s1, s2, lower, upper):
@@ -159,9 +168,7 @@ class TestCdf:
         for _ in range(15):
             m = random_model(rng)
             x = m.delta + rng.uniform(-2.0, 2.0) * m.sigma12
-            assert m.cdf(x) == pytest.approx(
-                m.cdf(x, method="quadrature"), abs=1e-9
-            )
+            assert m.cdf(x) == pytest.approx(quad_cdf(m, x), abs=1e-9)
 
     def test_limits_and_monotonicity(self):
         m = ConditionalNormal(0.0, 1.0, 1.0, lower=-1.0, upper=0.5)
@@ -170,11 +177,6 @@ class TestCdf:
         xs = np.linspace(-4, 4, 41)
         cs = [m.cdf(x) for x in xs]
         assert all(b >= a for a, b in zip(cs, cs[1:]))
-
-    def test_unknown_method_rejected(self):
-        m = ConditionalNormal(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="method"):
-            m.cdf(0.0, method="magic")
 
 
 class TestQuantile:
@@ -202,6 +204,36 @@ class TestQuantile:
         m = ConditionalNormal(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             m.quantile(q)
+
+    def test_matches_bracketed_oracle_on_random_geometries(self):
+        # One- and two-sided bounds up to 5 sigma1 beyond delta, so the
+        # deep-tail kernels carry part of the draws.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            delta = rng.uniform(-2.0, 2.0)
+            s1, s2 = rng.uniform(0.2, 3.0, size=2)
+            kind = rng.integers(3)
+            bound = delta + rng.uniform(-2.0, 5.0) * s1
+            if kind == 0:
+                lower, upper = bound, math.inf
+            elif kind == 1:
+                lower, upper = -math.inf, 2.0 * delta - bound
+            else:
+                lower, upper = bound, bound + rng.uniform(0.1, 3.0) * s1
+            m = ConditionalNormal(delta, s1, s2, lower=lower, upper=upper)
+            for q in (1e-6, 0.025, 0.3, 0.5, 0.975, 1.0 - 1e-6):
+                ref = brentq_quantile(m, q)
+                x = m.quantile(q)
+                assert math.isfinite(x)
+                assert abs(m.cdf(x) - q) <= 1e-11, (q, m)
+                assert abs(x - ref) <= 1e-6 * m.sigma12, (q, m)
+
+    def test_unconverged_root_raises(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "cond_quantile",
+                            lambda q, *args: np.array(np.nan))
+        m = ConditionalNormal(0.0, 1.0, 1.0, lower=0.0)
+        with pytest.raises(NumericalError, match="quantile 0.3"):
+            m.quantile(0.3)
 
 
 class TestMean:
@@ -247,7 +279,7 @@ class TestPartialMoment:
             a = m.delta - rng.uniform(0.2, 2.0) * m.sigma12
             b = m.delta + rng.uniform(0.2, 2.0) * m.sigma12
             assert m.partial_moment(a, b) == pytest.approx(
-                m.partial_moment(a, b, method="quadrature"), abs=1e-9
+                quad_partial_moment(m, a, b), abs=1e-9
             )
 
     def test_reversed_bounds_rejected(self):
@@ -336,6 +368,34 @@ class TestInfiniteBoundShortcut:
             assert np.array_equal(got, ref)
 
 
+class TestSubnormalBound:
+    """A bound a subnormal distance from delta: Owen's T ratio overflows
+    and must take its den -> 0 limit, the value at the bound itself."""
+
+    def test_equals_the_zero_bound_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bvn_cdf(0.3, 2.2250738585e-313, 0.7) == bvn_cdf(0.3, 0.0, 0.7)
+            assert cond_cdf(0.3, 0.0, 1.0, 1.0, 1e-310, math.inf) == cond_cdf(
+                0.3, 0.0, 1.0, 1.0, 0.0, math.inf
+            )
+
+
+class TestImports:
+    def test_no_quadrature_or_root_finder_modules(self):
+        # The quadrature and brentq references live in the tests only.
+        code = (
+            "import sys, enrichci; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.integrate', 'scipy.optimize'))))"
+        )
+        src = Path(enrichci.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 class TestProperties:
     def test_normalization_on_random_models(self):
         rng = np.random.default_rng(42)
@@ -370,11 +430,11 @@ class TestProperties:
         # I(c1) = partial_moment(c1, F^{-1}(F(c1)+1-alpha)) must rise
         # strictly while cdf(c1) < alpha.
         m = ConditionalNormal(0.2, 1.0, 0.8, lower=-0.5, upper=2.0)
-        c1_hi = m.quantile(alpha * (1 - 1e-6))
-        c1_grid = np.linspace(m.quantile(1e-6), c1_hi, 25)
+        c1_hi = brentq_quantile(m, alpha * (1 - 1e-6))
+        c1_grid = np.linspace(brentq_quantile(m, 1e-6), c1_hi, 25)
         values = []
         for c1 in c1_grid:
-            c2 = m.quantile(m.cdf(c1) + 1 - alpha)
+            c2 = brentq_quantile(m, m.cdf(c1) + 1 - alpha)
             values.append(m.partial_moment(c1, c2))
         diffs = np.diff(values)
         assert np.all(diffs > 0)

@@ -1,7 +1,7 @@
 """Tests for the exact conditional intervals and the naive z-interval.
 
 The UMPU critical pair is validated against its two defining moment
-constraints via the quadrature evaluation path, and interval coverage is
+constraints via the quadrature oracle, and interval coverage is
 validated with an accept-reject oracle that never touches the solvers.
 """
 
@@ -23,6 +23,9 @@ from enrichci import (
     umau_ci,
 )
 
+from oracle import quad_cdf, quad_partial_moment
+
+
 Z975 = norm.ppf(0.975)
 
 
@@ -42,11 +45,9 @@ def random_truncated_model(rng):
 
 def residuals(model, pair, alpha):
     """Residuals of the two defining equations of the critical pair."""
-    size = model.cdf(pair.c2, method="quadrature") - model.cdf(
-        pair.c1, method="quadrature"
-    ) - (1 - alpha)
-    moment = model.partial_moment(
-        pair.c1, pair.c2, method="quadrature"
+    size = quad_cdf(model, pair.c2) - quad_cdf(model, pair.c1) - (1 - alpha)
+    moment = quad_partial_moment(
+        model, pair.c1, pair.c2
     ) - (1 - alpha) * model.mean()
     return size, moment
 
