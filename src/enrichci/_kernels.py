@@ -3,20 +3,26 @@
 The model: a stage 1 estimate with std dev ``sigma1`` is truncated to the
 interval (lower, upper); the precision-weighted pool of stage 1 and stage 2
 estimates is the working statistic. Its conditional density is a normal
-density tilted by a normal-CDF range factor. The CDF and truncated first
-moments reduce to bivariate-normal rectangle probabilities, evaluated here
-through Owen's T. All routines broadcast over every argument, so each
-element has its own ``sigma1``, ``sigma2``, ``lower`` and ``upper``.
-Quantiles and the tost endpoints in ``batch`` are ``probit_newton`` roots:
-Newton on the probit scale of a monotone CDF, safeguarded by a bracket.
+density tilted by a normal-CDF range factor. The CDF and truncated
+moments reduce to bivariate-normal rectangle probabilities, evaluated
+through Owen's T. ``CondLaw`` evaluates the law once per set of
+per-element parameters (each element has its own ``sigma1``, ``sigma2``,
+``lower`` and ``upper``): a solver iteration builds one and reads F, f,
+partial moments, mean and variance from it, and ``cond_cdf`` and its
+siblings are one-quantity calls of it. Quantiles and the tost endpoints in
+``batch`` are ``probit_newton`` roots: Newton on the probit scale of a
+monotone CDF, safeguarded by a bracket.
 """
 
+from functools import cached_property, reduce
+
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import erfcx, log_ndtr, ndtr, ndtri
 
 from ._normal import bvn_cdf, log_norm_prob_range, norm_pdf, norm_prob_range
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_SQRT2, _SQRT_HALF_PI = np.sqrt([2.0, 0.5 * np.pi])
 
 # Below this selection log-probability the bivariate-normal differences in
 # the closed-form CDF cancel catastrophically; switch to direct quadrature
@@ -32,222 +38,226 @@ def pooled_sd(sigma1, sigma2):
     return sigma1 * sigma2 / np.hypot(sigma1, sigma2)
 
 
-def _geometry(sigma1, sigma2):
-    hyp = np.hypot(sigma1, sigma2)
-    sigma12 = sigma1 * sigma2 / hyp
-    rho = sigma2 / hyp            # corr(pooled, stage 1)
-    s = sigma1 * sigma1 / hyp     # sd of stage 1 given the pooled value
-    return sigma12, rho, s
-
-
 def _log_phi(z):
     zf = np.where(np.isfinite(z), z, 0.0)
     return np.where(np.isfinite(z), -0.5 * zf * zf - _LOG_SQRT_2PI, -np.inf)
 
 
+def _deep_partial_moment(a, b, center, delta, sigma12, s, lower, upper,
+                         log_den, orders):
+    """Integrals of t**k times the density over (a, b) clipped to 14 sigma12
+    around ``center``, one row per k in ``orders``, by composite
+    Gauss-Legendre on one density evaluation. Arguments are flat; each
+    weighted sum runs along a contiguous row, which rounds alike at any
+    number of elements and orders."""
+    lo = np.clip(a, center - 14.0 * sigma12, center + 14.0 * sigma12)
+    hi = np.clip(b, lo, center + 14.0 * sigma12)
+    l_fin, u_fin = np.isfinite(lower), np.isfinite(upper)
+    base = -np.log(sigma12) - log_den
+    edges = np.linspace(0.0, 1.0, _GL_PANELS + 1)[:, None, None]
+    width = hi - lo
+    p_w = (edges[1:] - edges[:-1]) * width  # (panel, 1, element)
+    t = lo + edges[:-1] * width + 0.5 * (_GL_NODES[:, None] + 1.0) * p_w
+    zx = (t - delta) / sigma12
+    if not u_fin.any():
+        log_num = log_ndtr((t - lower) / s)
+    elif not l_fin.any():
+        log_num = log_ndtr((upper - t) / s)
+    else:
+        log_num = log_norm_prob_range((lower - t) / s, (upper - t) / s)
+    density = np.exp(-0.5 * zx * zx - _LOG_SQRT_2PI + log_num + base)
+    vals = np.stack([t**k * density for k in orders])
+    rows = np.ascontiguousarray(vals.swapaxes(-1, -2))
+    panels = 0.5 * p_w[:, 0] * np.einsum(
+        "ji,i->j", rows.reshape(-1, _GL_NODES.size), _GL_WEIGHTS
+    ).reshape(len(orders), _GL_PANELS, -1)
+    # Panel totals add up in panel order, whatever the stacking.
+    return reduce(np.add, panels.swapaxes(0, 1), 0.0)
+
+
+class CondLaw:
+    """The conditional law, per element. Construction computes what every
+    quantity shares: the geometry, the standardized bounds ``a1``/``b1``
+    of stage 1, the selection log-probability and the deep-tail mask
+    (selection log-probability below ``_DEEP_LOG_DEN``)."""
+
+    def __init__(self, delta, sigma1, sigma2, lower, upper):
+        self.delta, self.sigma1, self.sigma2, self.lower, self.upper = (
+            np.asarray(v, dtype=float)
+            for v in (delta, sigma1, sigma2, lower, upper))
+        self.hyp = np.hypot(self.sigma1, self.sigma2)
+        self.sigma12 = self.sigma1 * self.sigma2 / self.hyp
+        self.rho = self.sigma2 / self.hyp  # corr(pooled, stage 1)
+        self.s = self.sigma1 * self.sigma1 / self.hyp  # sd(stage 1 | pooled)
+        self.a1 = (self.lower - self.delta) / self.sigma1
+        self.b1 = (self.upper - self.delta) / self.sigma1
+        self.log_den = log_norm_prob_range(self.a1, self.b1)
+        self.deep = self.log_den < _DEEP_LOG_DEN
+
+    den = cached_property(lambda self: norm_prob_range(self.a1, self.b1))
+
+    @cached_property
+    def mean(self):
+        ra = np.exp(_log_phi(self.a1) - self.log_den)
+        rb = np.exp(_log_phi(self.b1) - self.log_den)
+        return self.delta + self.rho * self.rho * self.sigma1 * (ra - rb)
+
+    @cached_property
+    def var(self):
+        """The pooled estimate is delta + rho^2 sigma1 U plus independent
+        noise of variance sigma12^2 (1 - rho^2), U the standard normal on
+        (a, b) = (a1, b1) oriented so that a + b >= 0. With Mills ratios
+        R = Q / phi, psi = phi(b) / phi(a) and D = R(a) - psi R(b), E[U] =
+        (1 - psi) / D and Var(U) = 1 - E[U] (E[U] - a) - (b - a) psi / D:
+        no E[U^2] - E[U]^2 cancellation far out in a tail."""
+        flip = self.a1 + self.b1 < 0.0
+        a = np.where(flip, -self.b1, self.a1)
+        b = np.where(flip, -self.a1, self.b1)
+        b_fin = np.isfinite(b)
+        with np.errstate(invalid="ignore"):
+            log_psi = np.where(b_fin, -0.5 * (b - a) * (b + a), -np.inf)
+        psi = np.exp(log_psi)
+        inv_d = 1.0 / (_SQRT_HALF_PI * (erfcx(a / _SQRT2)
+                                        - psi * erfcx(b / _SQRT2)))
+        mean_u = -np.expm1(log_psi) * inv_d
+        a_f = np.where(np.isfinite(a), a, 0.0)
+        var_u = (1.0 - mean_u * (mean_u - a_f)
+                 - np.where(b_fin, b - a_f, 0.0) * psi * inv_d)
+        rho2 = self.rho * self.rho
+        return (self.sigma12 * self.sigma12 * (1.0 - rho2)
+                + rho2 * rho2 * self.sigma1 * self.sigma1 * var_u)
+
+    def logpdf(self, x):
+        x = np.asarray(x, dtype=float)
+        zx = (x - self.delta) / self.sigma12
+        log_num = log_norm_prob_range((self.lower - x) / self.s,
+                                      (self.upper - x) / self.s)
+        return _log_phi(zx) - np.log(self.sigma12) + log_num - self.log_den
+
+    def pdf(self, x):
+        return np.exp(self.logpdf(x))
+
+    def _patch_deep(self, outs, deep_fn, *points):
+        """``outs`` (arrays of one shape) with ``deep_fn`` on the deep-tail
+        elements: it gets ``points``, mean, delta, sigma12, s, lower, upper
+        and log_den there, and returns one row per output."""
+        if not self.deep.any():
+            return outs
+        shape = np.shape(outs[0])
+        deep = np.broadcast_to(self.deep, shape).ravel()
+        rows = deep_fn(*(np.broadcast_to(v, shape).ravel()[deep] for v in (
+            *points, self.mean, self.delta, self.sigma12, self.s,
+            self.lower, self.upper, self.log_den)))
+        outs = [np.ravel(out).copy() for out in outs]
+        for out, row in zip(outs, rows):
+            out[deep] = row
+        return [out.reshape(shape) for out in outs]
+
+    def cdf(self, x):
+        """Conditional CDF through bivariate-normal rectangle probabilities."""
+        x = np.asarray(x, dtype=float)
+        zx = (x - self.delta) / self.sigma12
+        # An infinite bound's bivariate term is Phi(zx) or 0: skip Owen's T.
+        # Two finite bounds share one call.
+        up = not np.all(self.upper == np.inf)
+        low = not np.all(self.lower == -np.inf)
+        if up and low:
+            zx_b, *k = np.broadcast_arrays(zx, self.b1, self.a1)
+            below_upper, below_lower = bvn_cdf(zx_b, np.stack(k), self.rho)
+        else:
+            below_upper = bvn_cdf(zx, self.b1, self.rho) if up else ndtr(zx)
+            below_lower = bvn_cdf(zx, self.a1, self.rho) if low else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.clip((below_upper - below_lower) / self.den, 0.0, 1.0)
+        out, = self._patch_deep([out], lambda x, *v: np.clip(
+            _deep_partial_moment(-np.inf, np.where(np.isfinite(x), x, 0.0),
+                                 *v, orders=(0,)), 0.0, 1.0), x)
+        out = np.where(zx == np.inf, 1.0, out)
+        return np.where(zx == -np.inf, 0.0, out)
+
+    def partial_moments(self, a, b, cdf_a=None, cdf_b=None, order=1):
+        """Integrals of t * pdf(t) and, for ``order`` 2, of t**2 * pdf(t)
+        over (a, b): a list of ``order`` arrays. ``cdf_a``/``cdf_b`` may
+        carry the CDF at the bounds.
+
+        With z = (t - delta) / sigma12 the density is phi(z) R(z) /
+        (sigma12 * den), where R(z) = Phi(alpha_u + beta z) -
+        Phi(alpha_l + beta z) is the selection factor. Integrating z phi R
+        and z^2 phi R by parts leaves boundary terms in R and cross terms
+        phi(z) phi(alpha + beta z), which collapse to univariate normal
+        densities and CDFs.
+        """
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        cdf_a = self.cdf(a) if cdf_a is None else cdf_a
+        cdf_b = self.cdf(b) if cdf_b is None else cdf_b
+        delta, sigma12, s = self.delta, self.sigma12, self.s
+        beta = -self.sigma2 / self.sigma1
+        r = self.hyp / self.sigma1  # sqrt(1 + beta^2)
+
+        za = (a - delta) / sigma12
+        zb = (b - delta) / sigma12
+        za_f = np.where(np.isfinite(za), za, 0.0)
+        zb_f = np.where(np.isfinite(zb), zb, 0.0)
+
+        def bound_terms(bound, z1, at_inf):
+            """Phi(alpha + beta z) at za and zb, and the cross integrals of
+            z phi R and z^2 phi R of one truncation bound, standardized
+            to z1. A bound infinite for every element is skipped."""
+            fin = np.isfinite(bound)
+            if not fin.any():
+                return at_inf, at_inf, 0.0, 0.0
+            alpha_f = np.where(fin, (bound - delta) / s, 0.0)
+            g_a = np.where(fin, ndtr(alpha_f + beta * za_f), at_inf)
+            g_b = np.where(fin, ndtr(alpha_f + beta * zb_f), at_inf)
+            shift = beta * alpha_f / r
+            # w = r*z + shift, infinite where z is
+            w_a, w_b = (np.where(np.isfinite(z), r * z_f + shift, z)
+                        for z, z_f in ((za, za_f), (zb, zb_f)))
+            phi_bound, dw = norm_pdf(z1), ndtr(w_b) - ndtr(w_a)
+            cross1 = phi_bound * dw
+            cross2 = 0.0
+            if order == 2:
+                cross2 = phi_bound * (norm_pdf(w_a) - norm_pdf(w_b)
+                                      - shift * dw)
+            return g_a, g_b, cross1, cross2
+
+        gu_a, gu_b, cu1, cu2 = bound_terms(self.upper, self.b1, 1.0)
+        gl_a, gl_b, cl1, cl2 = bound_terms(self.lower, self.a1, 0.0)
+        r_a = norm_pdf(za) * (gu_a - gl_a)
+        r_b = norm_pdf(zb) * (gu_b - gl_b)
+        j1 = r_a - r_b + (beta / r) * (cu1 - cl1)
+
+        cdf_term = np.subtract(cdf_b, cdf_a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            outs = [delta * cdf_term + sigma12 * j1 / self.den]
+            if order == 2:
+                j2 = za_f * r_a - zb_f * r_b + (beta / (r * r)) * (cu2 - cl2)
+                outs.append(delta * (outs[0] + sigma12 * j1 / self.den)
+                            + sigma12 * sigma12 * (cdf_term + j2 / self.den))
+        return self._patch_deep(outs, lambda *v: _deep_partial_moment(
+            *v, orders=(1, 2)[:order]), a, b)
+
+
 def cond_logpdf(x, delta, sigma1, sigma2, lower, upper):
-    """Log density of the pooled estimate given the stage 1 truncation."""
-    x = np.asarray(x, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    sigma12, _, s = _geometry(sigma1, sigma2)
-    zx = (x - delta) / sigma12
-    log_num = log_norm_prob_range((lower - x) / s, (upper - x) / s)
-    log_den = log_norm_prob_range((lower - delta) / sigma1, (upper - delta) / sigma1)
-    return _log_phi(zx) - np.log(sigma12) + log_num - log_den
+    return CondLaw(delta, sigma1, sigma2, lower, upper).logpdf(x)
 
 
 def cond_pdf(x, delta, sigma1, sigma2, lower, upper):
-    return np.exp(cond_logpdf(x, delta, sigma1, sigma2, lower, upper))
-
-
-def _quad_weighted(lo, hi, fn):
-    """Composite Gauss-Legendre integral of ``fn`` over per-element [lo, hi].
-
-    ``lo``/``hi`` are flat arrays; ``fn`` maps a node array of the same
-    trailing shape to integrand values. Each element's weighted sum runs
-    along a contiguous row, which rounds alike at any number of elements.
-    """
-    edges = np.linspace(0.0, 1.0, _GL_PANELS + 1)
-    width = hi - lo
-    total = np.zeros_like(lo)
-    for p in range(_GL_PANELS):
-        p_lo = lo + edges[p] * width
-        p_w = (edges[p + 1] - edges[p]) * width
-        nodes = p_lo[None, :] + 0.5 * (_GL_NODES[:, None] + 1.0) * p_w[None, :]
-        rows = np.ascontiguousarray(fn(nodes).T)
-        total += 0.5 * p_w * np.einsum("ji,i->j", rows, _GL_WEIGHTS)
-    return total
-
-
-def _deep_density(delta, sigma1, sigma2, lower, upper):
-    """Density evaluator with the per-element selection factor hoisted out."""
-    sigma12, _, s = _geometry(sigma1, sigma2)
-    log_den = log_norm_prob_range(
-        (lower - delta) / sigma1, (upper - delta) / sigma1
-    )
-    l_fin = np.isfinite(lower)
-    u_fin = np.isfinite(upper)
-    base = -np.log(sigma12) - log_den
-
-    def density(t):
-        zx = (t - delta) / sigma12
-        if not u_fin.any():
-            log_num = log_ndtr((t - lower) / s)
-        elif not l_fin.any():
-            log_num = log_ndtr((upper - t) / s)
-        else:
-            log_num = log_norm_prob_range((lower - t) / s, (upper - t) / s)
-        return np.exp(-0.5 * zx * zx - _LOG_SQRT_2PI + log_num + base)
-
-    return density
-
-
-def _deep_cdf(x, delta, sigma1, sigma2, lower, upper):
-    sigma12, _, _ = _geometry(sigma1, sigma2)
-    center = cond_mean(delta, sigma1, sigma2, lower, upper)
-    lo = center - 14.0 * sigma12
-    hi = np.clip(x, lo, center + 14.0 * sigma12)
-    density = _deep_density(delta, sigma1, sigma2, lower, upper)
-    return np.clip(_quad_weighted(lo, hi, density), 0.0, 1.0)
-
-
-def _deep_partial_moment(a, b, delta, sigma1, sigma2, lower, upper, order):
-    sigma12, _, _ = _geometry(sigma1, sigma2)
-    center = cond_mean(delta, sigma1, sigma2, lower, upper)
-    lo = np.clip(a, center - 14.0 * sigma12, center + 14.0 * sigma12)
-    hi = np.clip(b, lo, center + 14.0 * sigma12)
-    density = _deep_density(delta, sigma1, sigma2, lower, upper)
-    return _quad_weighted(lo, hi, lambda t: t**order * density(t))
-
-
-def _patch_deep(out, a1, b1, deep_fn, *arrays):
-    """``out`` with ``deep_fn`` on the elements whose selection
-    log-probability lies below ``_DEEP_LOG_DEN``; ``deep_fn`` receives
-    ``arrays``, broadcast to ``out`` and flattened to those elements."""
-    deep = log_norm_prob_range(a1, b1) < _DEEP_LOG_DEN
-    if not deep.any():
-        return out
-    shape = np.shape(out)
-    deep = np.broadcast_to(deep, shape).ravel()
-    flat = np.ravel(out).copy()
-    flat[deep] = deep_fn(*(np.broadcast_to(v, shape).ravel()[deep]
-                           for v in arrays))
-    return flat.reshape(shape)
+    return CondLaw(delta, sigma1, sigma2, lower, upper).pdf(x)
 
 
 def cond_cdf(x, delta, sigma1, sigma2, lower, upper):
-    """Conditional CDF through bivariate-normal rectangle probabilities."""
-    x, delta, sigma1, sigma2, lower, upper = (
-        np.asarray(v, dtype=float)
-        for v in (x, delta, sigma1, sigma2, lower, upper))
-    sigma12, rho, _ = _geometry(sigma1, sigma2)
-    zx = (x - delta) / sigma12
-    a1 = (lower - delta) / sigma1
-    b1 = (upper - delta) / sigma1
-    den = norm_prob_range(a1, b1)
-    # An infinite bound's bivariate term is Phi(zx) or 0: skip Owen's T.
-    below_upper = ndtr(zx) if np.all(upper == np.inf) else bvn_cdf(zx, b1, rho)
-    below_lower = 0.0 if np.all(lower == -np.inf) else bvn_cdf(zx, a1, rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.clip((below_upper - below_lower) / den, 0.0, 1.0)
-    out = _patch_deep(out, a1, b1, _deep_cdf, np.where(np.isfinite(x), x, 0.0),
-                      delta, sigma1, sigma2, lower, upper)
-    out = np.where(zx == np.inf, 1.0, out)
-    return np.where(zx == -np.inf, 0.0, out)
+    return CondLaw(delta, sigma1, sigma2, lower, upper).cdf(x)
 
 
 def cond_mean(delta, sigma1, sigma2, lower, upper):
-    """Conditional expectation of the pooled estimate (closed form)."""
-    delta = np.asarray(delta, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    _, rho, _ = _geometry(sigma1, sigma2)
-    a1 = (lower - delta) / sigma1
-    b1 = (upper - delta) / sigma1
-    log_den = log_norm_prob_range(a1, b1)
-    ra = np.exp(_log_phi(a1) - log_den)
-    rb = np.exp(_log_phi(b1) - log_den)
-    return delta + rho * rho * sigma1 * (ra - rb)
+    return CondLaw(delta, sigma1, sigma2, lower, upper).mean
 
 
 def cond_partial_moment(a, b, delta, sigma1, sigma2, lower, upper,
                         cdf_a=None, cdf_b=None, order=1):
-    """Integral of t**order * pdf(t) over (a, b), order 1 or 2, in closed form.
-
-    With z = (t - delta) / sigma12 the density is phi(z) R(z) / (sigma12 *
-    den), where R(z) = Phi(alpha_u + beta z) - Phi(alpha_l + beta z) is the
-    selection factor. Integrating z phi R and z^2 phi R by parts leaves
-    boundary terms in R and cross terms phi(z) phi(alpha + beta z), which
-    collapse to univariate normal densities and CDFs. ``cdf_a``/``cdf_b``
-    may carry precomputed conditional CDF values at the bounds.
-    """
-    a, b, delta, sigma1, sigma2, lower, upper = (
-        np.asarray(v, dtype=float)
-        for v in (a, b, delta, sigma1, sigma2, lower, upper))
-
-    sigma12, _, s = _geometry(sigma1, sigma2)
-    beta = -sigma2 / sigma1
-    r = np.hypot(sigma1, sigma2) / sigma1  # sqrt(1 + beta^2)
-
-    za = (a - delta) / sigma12
-    zb = (b - delta) / sigma12
-    za_f = np.where(np.isfinite(za), za, 0.0)
-    zb_f = np.where(np.isfinite(zb), zb, 0.0)
-    a1 = (lower - delta) / sigma1
-    b1 = (upper - delta) / sigma1
-    den = norm_prob_range(a1, b1)
-
-    def bound_terms(bound, at_inf):
-        """Phi(alpha + beta z) at za and zb, and the cross integrals of
-        z phi R and z^2 phi R contributed by one truncation bound. A bound
-        infinite for every element has no cross terms and is skipped."""
-        fin = np.isfinite(bound)
-        if not fin.any():
-            return at_inf, at_inf, 0.0, 0.0
-        alpha_f = np.where(fin, (bound - delta) / s, 0.0)
-        g_a = np.where(fin, ndtr(alpha_f + beta * za_f), at_inf)
-        g_b = np.where(fin, ndtr(alpha_f + beta * zb_f), at_inf)
-        phi_bound = np.where(
-            fin, norm_pdf(np.where(fin, (bound - delta) / sigma1, 0.0)), 0.0
-        )
-
-        def w(z, z_f):
-            # r*z + beta*alpha/r, infinite where z is
-            return np.where(np.isfinite(z), r * z_f + beta * alpha_f / r, z)
-
-        w_a, w_b = w(za, za_f), w(zb, zb_f)
-        cross1 = phi_bound * (ndtr(w_b) - ndtr(w_a))
-        cross2 = 0.0
-        if order == 2:
-            shift = beta * alpha_f / r
-            cross2 = phi_bound * (
-                norm_pdf(w_a) - norm_pdf(w_b) - shift * (ndtr(w_b) - ndtr(w_a))
-            )
-        return g_a, g_b, cross1, cross2
-
-    gu_a, gu_b, cu1, cu2 = bound_terms(upper, 1.0)
-    gl_a, gl_b, cl1, cl2 = bound_terms(lower, 0.0)
-    r_a = norm_pdf(za) * (gu_a - gl_a)
-    r_b = norm_pdf(zb) * (gu_b - gl_b)
-    j1 = r_a - r_b + (beta / r) * (cu1 - cl1)
-
-    if cdf_a is None:
-        cdf_a = cond_cdf(a, delta, sigma1, sigma2, lower, upper)
-    if cdf_b is None:
-        cdf_b = cond_cdf(b, delta, sigma1, sigma2, lower, upper)
-    cdf_term = np.asarray(cdf_b, dtype=float) - np.asarray(cdf_a, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = delta * cdf_term + sigma12 * j1 / den
-        if order == 2:
-            j2 = za_f * r_a - zb_f * r_b + (beta / (r * r)) * (cu2 - cl2)
-            out = delta * (out + sigma12 * j1 / den) + sigma12 * sigma12 * (
-                cdf_term + j2 / den
-            )
-
-    return _patch_deep(
-        out, a1, b1, lambda *v: _deep_partial_moment(*v, order),
-        a, b, delta, sigma1, sigma2, lower, upper,
-    )
+    law = CondLaw(delta, sigma1, sigma2, lower, upper)
+    return law.partial_moments(a, b, cdf_a, cdf_b, order)[-1]
 
 
 def flat_broadcast(*arrays):
@@ -321,13 +331,12 @@ def cond_quantile(q, delta, sigma1, sigma2, lower, upper):
     """
     shape, (q, delta, sigma1, sigma2, lower, upper) = flat_broadcast(
         q, delta, sigma1, sigma2, lower, upper)
-    sigma12 = pooled_sd(sigma1, sigma2)
+    law = CondLaw(delta, sigma1, sigma2, lower, upper)
 
     def cdf_and_pdf(x, i):
-        args = (delta[i], sigma1[i], sigma2[i], lower[i], upper[i])
-        return cond_cdf(x, *args), cond_pdf(x, *args)
+        at = CondLaw(delta[i], sigma1[i], sigma2[i], lower[i], upper[i])
+        return at.cdf(x), at.pdf(x)
 
-    start = cond_mean(delta, sigma1, sigma2, lower, upper) + ndtri(q) * sigma12
-    root, ok = probit_newton(cdf_and_pdf, start, q, 1.0, sigma12,
-                             xtol=1e-13 * sigma12)
+    root, ok = probit_newton(cdf_and_pdf, law.mean + ndtri(q) * law.sigma12,
+                             q, 1.0, law.sigma12, xtol=1e-13 * law.sigma12)
     return np.where(ok, root, np.nan).reshape(shape)

@@ -6,18 +6,17 @@ a scenario, are solved at once: damped Newton for the two moment
 constraints of the acceptance region, a joint Newton in the effect and
 the acceptance cut for the umau endpoints, and a safeguarded Newton on
 the probit scale (``_kernels.probit_newton``) for the tost endpoints.
-Elements that fail to converge, or whose conditional CDF disagrees with
-its density at the solution, are reported through an ``ok`` mask.
+Each iteration evaluates the conditional law once, as one
+``_kernels.CondLaw`` at all the points it needs. Elements that fail to
+converge, or whose CDF disagrees with its density at the solution, are
+reported through an ``ok`` mask.
 """
 
 import numpy as np
 from scipy.special import ndtri
 
 from ._kernels import (
-    cond_cdf,
-    cond_mean,
-    cond_partial_moment,
-    cond_pdf,
+    CondLaw,
     cond_quantile,
     flat_broadcast,
     pooled_sd,
@@ -29,40 +28,39 @@ def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
                      c1=None, c2=None, max_iter=60, tol=1e-10):
     """Solve the size and first-moment constraints for the acceptance region.
 
-    Returns (c1, c2, ok). Warm starts may be passed through ``c1``/``c2``.
+    Returns (c1, c2, ok). A warm start passes both cuts through
+    ``c1``/``c2``; without one, the cuts start at the equal-tailed
+    quantiles.
     """
+    if (c1 is None) != (c2 is None):
+        raise ValueError("a warm start needs both cuts, c1 and c2")
     shape, (delta0, sigma1, sigma2, lower, upper) = flat_broadcast(
         delta0, sigma1, sigma2, lower, upper)
-    sigma12 = pooled_sd(sigma1, sigma2)
-    beta = 1.0 - alpha
-
-    if c1 is None or c2 is None:
+    if c1 is None:
         tails = [[0.5 * alpha], [1.0 - 0.5 * alpha]]
         c1, c2 = cond_quantile(tails, delta0, sigma1, sigma2, lower, upper)
-    c1 = np.array(np.broadcast_to(c1, delta0.shape), dtype=float).copy()
-    c2 = np.array(np.broadcast_to(c2, delta0.shape), dtype=float).copy()
+    c1, c2 = (np.array(np.broadcast_to(c, delta0.shape), dtype=float)
+              for c in (c1, c2))
 
-    mean = cond_mean(delta0, sigma1, sigma2, lower, upper)
+    law = CondLaw(delta0, sigma1, sigma2, lower, upper)
+    sigma12, mean, beta = law.sigma12, law.mean, 1.0 - alpha
     target = beta * mean
-    tol1 = tol
     tol2 = tol * (sigma12 + np.abs(mean))
     max_step = 3.0 * sigma12
 
-    active = np.ones(delta0.shape, dtype=bool)
     ok = np.zeros(delta0.shape, dtype=bool)
+    idx = np.arange(delta0.size)
     for _ in range(max_iter):
-        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        args = (delta0[idx], sigma1[idx], sigma2[idx], lower[idx], upper[idx])
+        law = CondLaw(delta0[idx], sigma1[idx], sigma2[idx], lower[idx],
+                      upper[idx])
         a, b = c1[idx], c2[idx]
-        fa = cond_cdf(a, *args)
-        fb = cond_cdf(b, *args)
+        fa, fb = law.cdf(np.stack([a, b]))
         g1 = fb - fa - beta
-        g2 = cond_partial_moment(a, b, *args, cdf_a=fa, cdf_b=fb) - target[idx]
-        conv = (np.abs(g1) <= tol1) & (np.abs(g2) <= tol2[idx])
-        pa = cond_pdf(a, *args)
-        pb = cond_pdf(b, *args)
+        g2 = law.partial_moments(a, b, fa, fb)[0] - target[idx]
+        conv = (np.abs(g1) <= tol) & (np.abs(g2) <= tol2[idx])
+        pa, pb = law.pdf(np.stack([a, b]))
         det = pa * pb * (a - b)
         bad = ~np.isfinite(det) | (det == 0.0) | ~np.isfinite(g1) | ~np.isfinite(g2)
         det = np.where(det == 0.0, 1.0, det)
@@ -80,12 +78,9 @@ def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
         gap = 1e-6 * sigma12[idx]
         a_new = np.where(crossed, mid - gap, a_new)
         b_new = np.where(crossed, mid + gap, b_new)
-
-        c1[idx] = a_new
-        c2[idx] = b_new
+        c1[idx], c2[idx] = a_new, b_new
         ok[idx[conv]] = True
-        active[:] = False
-        active[idx[~frozen]] = True
+        idx = idx[~frozen]
     return c1.reshape(shape), c2.reshape(shape), ok.reshape(shape)
 
 
@@ -94,10 +89,10 @@ def _slope_matches_density(at, delta, sigma1, sigma2, lower, upper):
     density to 1e-5 relative. Where the kernels lose accuracy (rho near 1)
     it does not; solvers fail such elements rather than return the root of
     inaccurate equations."""
-    h = 1e-4 * pooled_sd(sigma1, sigma2)
-    args = (delta, sigma1, sigma2, lower, upper)
-    cdf_up, cdf_down = cond_cdf(np.stack([at + h, at - h]), *args)
-    pdf = cond_pdf(at, *args)
+    law = CondLaw(delta, sigma1, sigma2, lower, upper)
+    h = 1e-4 * law.sigma12
+    cdf_up, cdf_down = law.cdf(np.stack([at + h, at - h]))
+    pdf = law.pdf(at)
     return np.abs((cdf_up - cdf_down) / (2 * h) - pdf) <= 1e-5 * pdf
 
 
@@ -143,15 +138,12 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
         if idx.size == 0:
             break
         d, cc, xo, sd, s12 = (v[idx] for v in (delta, c, x, side, sigma12))
-        args = (d, sigma1[idx], sigma2[idx], lower[idx], upper[idx])
-        f_c, f_x = cond_cdf(np.stack([cc, xo]), *args)
+        law = CondLaw(d, sigma1[idx], sigma2[idx], lower[idx], upper[idx])
+        f_c, f_x = law.cdf(np.stack([cc, xo]))
         a, b = np.where(sd < 0, [cc, xo], [xo, cc])
         f_a, f_b = np.where(sd < 0, [f_c, f_x], [f_x, f_c])
-        m1, m2 = (cond_partial_moment(a, b, *args, cdf_a=f_a, cdf_b=f_b,
-                                      order=k) for k in (1, 2))
-        mean = cond_mean(*args)
-        var = cond_partial_moment(-np.inf, np.inf, *args, cdf_a=0.0,
-                                  cdf_b=1.0, order=2) - mean * mean
+        m1, m2 = law.partial_moments(a, b, f_a, f_b, order=2)
+        mean, var = law.mean, law.var
         prob = f_b - f_a
         g1, g2 = prob - beta, m1 - beta * mean
         # Jacobian: d/d delta from the covariance identity; d/dc of G1 and
@@ -162,7 +154,7 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
         den = j11 * cc - j21
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step_d = (g1 * cc - g2) / den
-            step_c = (j11 * g2 - j21 * g1) / (den * sd * cond_pdf(cc, *args))
+            step_c = (j11 * g2 - j21 * g1) / (den * sd * law.pdf(cc))
         finite = np.isfinite(step_d) & np.isfinite(step_c)
         size = np.abs(step_d)
         # Converged: a step below tolerance, or a small step that no longer
@@ -204,11 +196,10 @@ def batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper):
     sigma12 = pooled_sd(sigma1, sigma2)
 
     def cdf_and_slope(delta, i):
-        args = (delta, sigma1[i], sigma2[i], lower[i], upper[i])
-        cdf = cond_cdf(observed[i], *args)
-        m1 = cond_partial_moment(-np.inf, observed[i], *args, cdf_a=0.0,
-                                 cdf_b=cdf)
-        return cdf, (m1 - cdf * cond_mean(*args)) / sigma12[i]**2
+        law = CondLaw(delta, sigma1[i], sigma2[i], lower[i], upper[i])
+        cdf = law.cdf(observed[i])
+        m1, = law.partial_moments(-np.inf, observed[i], 0.0, cdf)
+        return cdf, (m1 - cdf * law.mean) / sigma12[i]**2
 
     root, ok = probit_newton(cdf_and_slope, observed - ndtri(q) * sigma12, q,
                              -1.0, sigma12, xtol=1e-10 * sigma12)

@@ -28,7 +28,7 @@ from enrichci import (
     solve_umpu,
     umau_ci,
 )
-from enrichci import _kernels
+from enrichci import _kernels, batch
 from enrichci._kernels import (
     cond_cdf,
     cond_mean,
@@ -241,6 +241,11 @@ class TestBatchSolveUmpu:
     def test_scalar_shape_passthrough(self):
         c1, c2, ok = batch_solve_umpu(0.3, 0.05, 1.0, 1.0, 0.0, np.inf)
         assert np.shape(c1) == () and bool(ok)
+
+    @pytest.mark.parametrize("warm", ["c1", "c2"])
+    def test_lone_warm_start_rejected(self, warm):
+        with pytest.raises(ValueError, match="both cuts"):
+            batch_solve_umpu(0.0, 0.05, 1.0, 1.0, 0.5, np.inf, **{warm: 0.6})
 
 
 class TestBatchIntervals:
@@ -620,19 +625,103 @@ class TestProbitNewtonSafeguards:
         assert bool(ok[0]) and abs(root[0]) <= 1e-12
 
 
+class TestOneEvaluationPerIteration:
+    """Each solver iteration evaluates the conditional law once: one
+    ``CondLaw`` whose CDF is one call, at every point the iteration needs,
+    and one ``bvn_cdf`` call for one or two finite bounds. Besides the
+    iterations, a solver may build one law for its starting mean and one
+    for each slope check."""
+
+    @pytest.fixture(params=[np.inf, 3.0], ids=["one-sided", "two-sided"])
+    def args(self, request):
+        return (1.0, 1.0, 0.5, request.param)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"laws": 0, "cdf": 0, "bvn": 0, "newton": 0, "points": set()}
+        law, bvn, newton = _kernels.CondLaw, _kernels.bvn_cdf, probit_newton
+        init, cdf = law.__init__, law.cdf
+
+        def counted_init(self, *args):
+            counts["laws"] += 1
+            init(self, *args)
+
+        def counted_cdf(self, x):
+            # The stacking axes in front of the law's element axis.
+            counts["cdf"] += 1
+            counts["points"].add(np.shape(x)[:np.ndim(x) - self.delta.ndim])
+            return cdf(self, x)
+
+        def counted_bvn(*args):
+            counts["bvn"] += 1
+            return bvn(*args)
+
+        def counted_newton(f, *args, **kwargs):
+            def step(x, i):
+                counts["newton"] += 1
+                return f(x, i)
+            return newton(step, *args, **kwargs)
+
+        monkeypatch.setattr(law, "__init__", counted_init)
+        monkeypatch.setattr(law, "cdf", counted_cdf)
+        monkeypatch.setattr(_kernels, "bvn_cdf", counted_bvn)
+        for module in (_kernels, batch):
+            monkeypatch.setattr(module, "probit_newton", counted_newton)
+        return counts
+
+    def _assert_one_per_iteration(self, counts, starts):
+        assert counts["cdf"] > 0
+        assert counts["laws"] == counts["cdf"] + starts
+        assert counts["bvn"] == counts["cdf"]
+
+    def test_cond_quantile(self, counts, args):
+        cond_quantile(np.array([0.025, 0.5, 0.975]), 0.0, *args)
+        self._assert_one_per_iteration(counts, starts=1)
+        assert counts["cdf"] == counts["newton"]
+
+    def test_batch_ctost_ci(self, counts, args):
+        assert bool(np.all(batch_ctost_ci(np.array([0.4, 1.2]), 0.05,
+                                          *args)[2]))
+        self._assert_one_per_iteration(counts, starts=0)
+        assert counts["cdf"] == counts["newton"] + 1
+
+    def test_batch_umau_ci(self, counts, args):
+        seeds = batch_ctost_ci(np.array([0.4, 1.2]), 0.05, *args)
+        counts.update(laws=0, cdf=0, bvn=0, newton=0, points=set())
+        ok = batch_umau_ci(np.array([0.4, 1.2]), 0.05, *args,
+                           seeds=seeds)[2]
+        assert bool(np.all(ok))
+        # The cut's starting quantile, then the joint Newton (the CDF at
+        # the cut and the observation), then the slope check at both.
+        self._assert_one_per_iteration(counts, starts=1)
+        assert counts["cdf"] > counts["newton"] + 1
+        assert counts["points"] == {(), (2,), (2, 2)}
+
+    def test_batch_solve_umpu(self, counts, args):
+        ok = batch_solve_umpu(np.array([0.0, 0.7]), 0.05, *args,
+                              c1=np.array([-0.4, -0.1]), c2=1.8)[2]
+        assert bool(np.all(ok))
+        self._assert_one_per_iteration(counts, starts=1)
+        assert counts["points"] == {(2,)}
+
+
 class TestPerElementGeometry:
     """Each element carries its own sigma1, sigma2 and bounds: one stacked
     call returns, bit for bit, what one call per geometry returns."""
 
     SIGMAS = [(1.0, 1.0), (0.6, 1.3)]
-    # (lower, upper, observations): one- and two-sided, untruncated, and a
-    # bound 3 sigma1 out, whose endpoint solves reach the deep-tail path.
+    # (lower, upper, observations): one- and two-sided, untruncated, a
+    # bound 3 sigma1 out, whose endpoint solves reach the deep-tail path,
+    # and deep one- and two-sided bounds, where umau's M1 and M2 come from
+    # one deep-tail quadrature.
     CASES = [
         (0.0, math.inf, (0.1, 0.8, 1.7)),
         (-math.inf, 0.4, (-1.1, 0.0, 0.3)),
         (-0.3, 0.9, (-0.2, 0.3, 0.8)),
         (-math.inf, math.inf, (-0.5, 2.0)),
         (3.0, math.inf, (2.3, 3.1, 3.8)),
+        (4.1, math.inf, (3.6,)),
+        (4.1, 4.6, (3.9,)),
     ]
 
     def test_stacked_call_equals_per_geometry_calls(self, monkeypatch):
@@ -641,21 +730,23 @@ class TestPerElementGeometry:
         order = np.random.default_rng(11).permutation(len(rows))
         columns = np.array([rows[i] for i in order]).T
 
-        # Kernel elements on the closed-form and on the deep-tail path.
+        # Kernel elements on the closed-form and on the deep-tail path, and
+        # deep elements whose M1 and M2 share one set of nodes.
         paths = np.zeros(2, dtype=int)
-        patch_deep = _kernels._patch_deep
+        shared = np.zeros(1, dtype=int)
+        patch_deep = _kernels.CondLaw._patch_deep
 
-        def counted(out, a1, b1, *args):
-            deep = _kernels.log_norm_prob_range(a1, b1) < _kernels._DEEP_LOG_DEN
-            paths[:] += np.bincount(np.broadcast_to(deep, np.shape(out)).ravel(),
-                                    minlength=2)
-            return patch_deep(out, a1, b1, *args)
+        def counted(law, outs, *args):
+            deep = np.broadcast_to(law.deep, np.shape(outs[0])).ravel()
+            paths[:] += np.bincount(deep, minlength=2)
+            shared[:] += deep.sum() * (len(outs) == 2)
+            return patch_deep(law, outs, *args)
 
-        monkeypatch.setattr(_kernels, "_patch_deep", counted)
+        monkeypatch.setattr(_kernels.CondLaw, "_patch_deep", counted)
         methods = ("naive", "umau", "tost")
         stacked = batch_intervals(columns[0], 0.05, *columns[1:], methods)
         monkeypatch.undo()
-        assert paths.min() > 0
+        assert paths.min() > 0 and shared[0] > 0
         for m in methods:
             assert bool(np.all(stacked[m][2])), m
 

@@ -331,6 +331,39 @@ class TestSecondPartialMoment:
         assert got == pytest.approx(self._quad(m, a, b), abs=1e-10)
 
 
+class TestConditionalVariance:
+    """The closed-form variance against adaptive quadrature of
+    (t - mean)^2 * pdf, on one- and two-sided bounds, at selection
+    log-probability down to -50 and delta up to 1000 sigma12."""
+
+    @staticmethod
+    def _quad(m):
+        center = m.mean()
+        a, b = center - 14.0 * m.sigma12, center + 14.0 * m.sigma12
+        pts = [p for p in (m.lower, m.upper) if a < p < b]
+        val, _ = integrate.quad(
+            lambda t: (t - center) ** 2 * m.pdf(t), a, b, points=pts or None,
+            epsabs=1e-14, epsrel=1e-13, limit=200,
+        )
+        return val
+
+    # Bound offsets from delta in units of sigma1; 9.77 and 9.6 put the
+    # selection log-probability near -50.
+    @pytest.mark.parametrize("lo,hi", [
+        (0.5, math.inf), (-math.inf, -0.5), (9.77, math.inf),
+        (-math.inf, -9.77), (-0.3, 0.9), (9.6, 10.1), (-10.1, -9.6),
+    ])
+    @pytest.mark.parametrize("s1,s2", [(1.0, 1.0), (0.2, 1.0), (5.0, 1.0)])
+    @pytest.mark.parametrize("delta", [0.0, 30.0, 1000.0])
+    def test_matches_quadrature(self, delta, s1, s2, lo, hi):
+        delta *= pooled_sd(s1, s2)
+        m = ConditionalNormal(delta, s1, s2, lower=delta + lo * s1,
+                              upper=delta + hi * s1)
+        got = float(_kernels.CondLaw(*m._args()).var)
+        assert got == pytest.approx(self._quad(m), rel=0,
+                                    abs=1e-10 * m.sigma12**2)
+
+
 def _cdf_both_bivariate_terms(x, delta, s1, s2, lower, upper):
     """The conditional CDF's closed form with both bivariate-normal terms
     evaluated, infinite bounds included."""
