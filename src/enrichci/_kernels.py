@@ -39,8 +39,8 @@ def pooled_sd(sigma1, sigma2):
 
 
 def _log_phi(z):
-    zf = np.where(np.isfinite(z), z, 0.0)
-    return np.where(np.isfinite(z), -0.5 * zf * zf - _LOG_SQRT_2PI, -np.inf)
+    """log of the standard normal density: -inf at +/-inf, NaN at NaN."""
+    return -0.5 * z * z - _LOG_SQRT_2PI
 
 
 def _deep_partial_moment(a, b, center, delta, sigma12, s, lower, upper,
@@ -77,9 +77,9 @@ def _deep_partial_moment(a, b, center, delta, sigma12, s, lower, upper,
 
 class CondLaw:
     """The conditional law, per element. Construction computes what every
-    quantity shares: the geometry, the standardized bounds ``a1``/``b1``
-    of stage 1, the selection log-probability and the deep-tail mask
-    (selection log-probability below ``_DEEP_LOG_DEN``)."""
+    quantity shares: the geometry, the standardized stage 1 bounds ``a1``
+    and ``b1``, the selection log-probability, the deep-tail mask, and the
+    flags ``low``/``up`` (any finite lower/upper bound) and ``any_deep``."""
 
     def __init__(self, delta, sigma1, sigma2, lower, upper):
         self.delta, self.sigma1, self.sigma2, self.lower, self.upper = (
@@ -93,6 +93,9 @@ class CondLaw:
         self.b1 = (self.upper - self.delta) / self.sigma1
         self.log_den = log_norm_prob_range(self.a1, self.b1)
         self.deep = self.log_den < _DEEP_LOG_DEN
+        self.low = np.isfinite(self.lower).any()
+        self.up = np.isfinite(self.upper).any()
+        self.any_deep = self.deep.any()
 
     den = cached_property(lambda self: norm_prob_range(self.a1, self.b1))
 
@@ -141,13 +144,16 @@ class CondLaw:
         """``outs`` (arrays of one shape) with ``deep_fn`` on the deep-tail
         elements: it gets ``points``, mean, delta, sigma12, s, lower, upper
         and log_den there, and returns one row per output."""
-        if not self.deep.any():
+        if not self.any_deep:
             return outs
         shape = np.shape(outs[0])
         deep = np.broadcast_to(self.deep, shape).ravel()
-        rows = deep_fn(*(np.broadcast_to(v, shape).ravel()[deep] for v in (
-            *points, self.mean, self.delta, self.sigma12, self.s,
-            self.lower, self.upper, self.log_den)))
+        args = (*points, self.mean, self.delta, self.sigma12, self.s,
+                self.lower, self.upper, self.log_den)
+        cols = np.empty((len(args), *shape))
+        for i, v in enumerate(args):
+            cols[i] = v
+        rows = deep_fn(*cols.reshape(len(args), -1)[:, deep])
         outs = [np.ravel(out).copy() for out in outs]
         for out, row in zip(outs, rows):
             out[deep] = row
@@ -159,16 +165,15 @@ class CondLaw:
         zx = (x - self.delta) / self.sigma12
         # An infinite bound's bivariate term is Phi(zx) or 0: skip Owen's T.
         # Two finite bounds share one call.
-        up = not np.all(self.upper == np.inf)
-        low = not np.all(self.lower == -np.inf)
-        if up and low:
+        if self.up and self.low:
             zx_b, *k = np.broadcast_arrays(zx, self.b1, self.a1)
             below_upper, below_lower = bvn_cdf(zx_b, np.stack(k), self.rho)
         else:
-            below_upper = bvn_cdf(zx, self.b1, self.rho) if up else ndtr(zx)
-            below_lower = bvn_cdf(zx, self.a1, self.rho) if low else 0.0
+            below_upper = bvn_cdf(zx, self.b1, self.rho) if self.up else ndtr(zx)
+            below_lower = bvn_cdf(zx, self.a1, self.rho) if self.low else 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.clip((below_upper - below_lower) / self.den, 0.0, 1.0)
+            out = np.minimum(np.maximum(
+                (below_upper - below_lower) / self.den, 0.0), 1.0)
         out, = self._patch_deep([out], lambda x, *v: np.clip(
             _deep_partial_moment(-np.inf, np.where(np.isfinite(x), x, 0.0),
                                  *v, orders=(0,)), 0.0, 1.0), x)
@@ -199,13 +204,13 @@ class CondLaw:
         za_f = np.where(np.isfinite(za), za, 0.0)
         zb_f = np.where(np.isfinite(zb), zb, 0.0)
 
-        def bound_terms(bound, z1, at_inf):
+        def bound_terms(bound, finite, z1, at_inf):
             """Phi(alpha + beta z) at za and zb, and the cross integrals of
             z phi R and z^2 phi R of one truncation bound, standardized
             to z1. A bound infinite for every element is skipped."""
-            fin = np.isfinite(bound)
-            if not fin.any():
+            if not finite:
                 return at_inf, at_inf, 0.0, 0.0
+            fin = np.isfinite(bound)
             alpha_f = np.where(fin, (bound - delta) / s, 0.0)
             g_a = np.where(fin, ndtr(alpha_f + beta * za_f), at_inf)
             g_b = np.where(fin, ndtr(alpha_f + beta * zb_f), at_inf)
@@ -221,8 +226,8 @@ class CondLaw:
                                       - shift * dw)
             return g_a, g_b, cross1, cross2
 
-        gu_a, gu_b, cu1, cu2 = bound_terms(self.upper, self.b1, 1.0)
-        gl_a, gl_b, cl1, cl2 = bound_terms(self.lower, self.a1, 0.0)
+        gu_a, gu_b, cu1, cu2 = bound_terms(self.upper, self.up, self.b1, 1.0)
+        gl_a, gl_b, cl1, cl2 = bound_terms(self.lower, self.low, self.a1, 0.0)
         r_a = norm_pdf(za) * (gu_a - gl_a)
         r_b = norm_pdf(zb) * (gu_b - gl_b)
         j1 = r_a - r_b + (beta / r) * (cu1 - cl1)
@@ -309,7 +314,7 @@ def probit_newton(f, x, q, sign, step, xtol):
         stalled = (size <= 1e-7 * step_i) & (size > 0.5 * last_i)
         settled = (size <= xtol_i) | stalled
         conv = (np.abs(resid) <= 1e-6) & (settled | (hi_i - lo_i <= xtol_i))
-        x_new = xi + np.clip(newton, -step_i, step_i)
+        x_new = xi + np.minimum(np.maximum(newton, -step_i), step_i)
         guard = ~conv & ~((towards * newton > 0) & (x_new > lo_i)
                           & (x_new < hi_i))
         ahead = np.where(towards > 0, hi_i, lo_i)

@@ -1,7 +1,8 @@
 """Numerically stable normal and bivariate-normal building blocks.
 
 All functions broadcast over numpy arrays and accept +/-inf arguments
-where a limit exists.
+where a limit exists. ``bvn_cdf`` evaluates both Owen's T terms of the
+tetrachoric reduction in one ``owens_t`` call.
 """
 
 import numpy as np
@@ -11,10 +12,8 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def norm_pdf(z):
-    z = np.asarray(z, dtype=float)
-    finite = np.isfinite(z)
-    zf = np.where(finite, z, 0.0)
-    return np.where(finite, np.exp(-0.5 * zf * zf) / _SQRT_2PI, 0.0)
+    """The standard normal density: 0 at +/-inf, NaN at NaN."""
+    return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def norm_prob_range(a, b):
@@ -48,23 +47,6 @@ def log_norm_prob_range(a, b):
     return out
 
 
-def _owens_t_ratio(x, num, den):
-    """Owen's T(x, num/den) with the correct limit as den -> 0."""
-    x = np.asarray(x, dtype=float)
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    deg = (den == 0.0)
-    safe_den = np.where(deg, 1.0, den)
-    # A subnormal den overflows the ratio to +/-inf, where owens_t takes
-    # the same limit.
-    with np.errstate(over="ignore"):
-        a = num / safe_den
-    t = owens_t(x, np.where(deg, 0.0, a))
-    # T(x, +/-inf) = +/- (1 - Phi(|x|)) / 2
-    t_inf = np.sign(num) * 0.5 * ndtr(-np.abs(x))
-    return np.where(deg, t_inf, t)
-
-
 def bvn_cdf(h, k, rho):
     """P(X <= h, Y <= k) for standard bivariate normal with correlation rho.
 
@@ -72,27 +54,40 @@ def bvn_cdf(h, k, rho):
     broadcasts with h and k and must lie strictly inside (-1, 1); h and k
     may be +/-inf.
     """
-    h, k = np.broadcast_arrays(np.asarray(h, dtype=float),
-                               np.asarray(k, dtype=float))
     rho = np.asarray(rho, dtype=float)
-    if not (np.abs(rho) < 1.0).all():
-        raise ValueError(f"correlation must be in (-1, 1), got {rho}")
-    root = np.sqrt(1.0 - rho * rho)
-
-    hf = np.where(np.isfinite(h), h, 0.0)
-    kf = np.where(np.isfinite(k), k, 0.0)
-    t1 = _owens_t_ratio(hf, kf - rho * hf, hf * root)
-    t2 = _owens_t_ratio(kf, hf - rho * kf, kf * root)
-    prod = hf * kf
-    delta = np.where((prod < 0.0) | ((prod == 0.0) & (hf + kf < 0.0)), 0.5, 0.0)
-    core = 0.5 * (ndtr(hf) + ndtr(kf)) - t1 - t2 - delta
-    # Both coordinates at the origin: closed form.
-    origin = (hf == 0.0) & (kf == 0.0)
-    core = np.where(origin, 0.25 + np.arcsin(rho) / (2.0 * np.pi), core)
-    core = np.clip(core, 0.0, 1.0)
-
-    # Infinite-argument limits.
-    core = np.where(k == np.inf, ndtr(h), core)
-    core = np.where(h == np.inf, ndtr(k), core)
-    core = np.where((h == -np.inf) | (k == -np.inf), 0.0, core)
+    inside = np.abs(rho) < 1.0
+    if not inside.all():
+        at = tuple(np.argwhere(~inside)[0].tolist())
+        raise ValueError(f"correlation must be in (-1, 1), got "
+                         f"{rho[at]}" + (f" at index {at}" if at else ""))
+    # Row 0 holds h and row 1 holds k, broadcast with rho.
+    hk = np.empty((2, *np.broadcast(h, k, rho).shape))
+    hk[0], hk[1] = h, k
+    finite = np.isfinite(hk).all()
+    x = hk if finite else np.where(np.isfinite(hk), hk, 0.0)
+    # T(h, (k - rho h) / (h root)) and T(k, (h - rho k) / (k root)).
+    num = x[::-1] - rho * x
+    den = x * np.sqrt(1.0 - rho * rho)
+    # A subnormal den overflows the ratio to +/-inf, where owens_t takes
+    # the same limit.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = owens_t(x, num / den)
+    if not den.all():
+        # T(x, +/-inf) = +/- (1 - Phi(|x|)) / 2
+        t = np.where(den == 0.0, np.sign(num) * 0.5 * ndtr(-np.abs(x)), t)
+    phi = ndtr(x)
+    prod = x[0] * x[1]
+    below = (prod < 0.0) | ((prod == 0.0) & (x[0] + x[1] < 0.0))
+    core = 0.5 * (phi[0] + phi[1]) - t[0] - t[1] - 0.5 * below
+    if not prod.all():
+        # Both coordinates at the origin: closed form.
+        origin = (x[0] == 0.0) & (x[1] == 0.0)
+        core = np.where(origin, 0.25 + np.arcsin(rho) / (2.0 * np.pi), core)
+    core = np.minimum(np.maximum(core, 0.0), 1.0)
+    if not finite:
+        # Infinite-argument limits.
+        h, k = hk
+        core = np.where(k == np.inf, ndtr(h), core)
+        core = np.where(h == np.inf, ndtr(k), core)
+        core = np.where((h == -np.inf) | (k == -np.inf), 0.0, core)
     return core

@@ -1,0 +1,137 @@
+"""The normal and bivariate-normal building blocks in ``_normal``.
+
+``data/bvn-cdf.json`` holds the ``repr`` of ``bvn_cdf`` on a grid of h
+and k (+/-inf, 0, +/-1e-310 and ordinary values) and of rho (up to
++/-(1 - 1e-12)), in the shapes the conditional CDF passes: scalar calls,
+(n,) arrays with an array or a scalar rho, and a stacked (2, P, n) k.
+``bvn_cdf`` must reproduce every value bit for bit.
+
+``PYTHONPATH=src python tests/test_normal.py`` rewrites the file from
+the current code, for a change that is meant to move values.
+"""
+
+import json
+import math
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from enrichci import _kernels, _normal
+from enrichci._kernels import CondLaw
+from enrichci._normal import bvn_cdf, norm_pdf
+
+DATA = Path(__file__).resolve().parent / "data" / "bvn-cdf.json"
+H = [-math.inf, -8.5, -1.3, -1e-310, 0.0, 1e-310, 0.4, 1.0, 3.7, math.inf]
+RHO = [-(1.0 - 1e-12), -0.6, 0.0, 0.3, 0.95, 0.99995, 1.0 - 1e-12]
+
+
+def cases():
+    """``{name: values}``, each a flat list of floats."""
+    h, k, rho = (a.ravel() for a in np.meshgrid(H, H, RHO, indexing="ij"))
+    hk = np.array(H)[:, None]
+    # A CondLaw.cdf call on two finite bounds: points (P, n) against a
+    # stacked upper and lower bound (2, P, n), one correlation per element.
+    i, j = np.indices((len(H), len(RHO)))
+    stacked_k = np.array(H)[np.stack([(i + j) % len(H), (3 * i + j) % len(H)])]
+    return {
+        "scalar": [float(bvn_cdf(*v)) for v in zip(h, k, rho)],
+        "vector": bvn_cdf(h, k, rho).tolist(),
+        "vector, scalar rho": np.concatenate(
+            [bvn_cdf(hk, np.array(H), r).ravel() for r in RHO]).tolist(),
+        "stacked": bvn_cdf(np.broadcast_to(hk, i.shape), stacked_k,
+                           np.array(RHO)).ravel().tolist(),
+    }
+
+
+def write():
+    grid = {"h": H, "rho": RHO, **cases()}
+    DATA.write_text("{\n" + ",\n".join(
+        f" {json.dumps(name)}: {json.dumps([repr(v) for v in values])}"
+        for name, values in grid.items()) + "\n}\n")
+
+
+class TestGoldenBvnCdf:
+    @pytest.fixture(scope="class")
+    def stored(self):
+        return {name: np.array([float(v) for v in values])
+                for name, values in json.loads(DATA.read_text()).items()}
+
+    def test_covers_the_grid(self, stored):
+        assert np.array_equal(stored["h"], H)
+        assert np.array_equal(stored["rho"], RHO)
+
+    def test_values(self, stored):
+        for name, got in cases().items():
+            assert np.array_equal(got, stored[name]), name
+
+
+class TestOneOwensTCall:
+    """``bvn_cdf`` evaluates both Owen's T terms in one ``owens_t`` call,
+    on every path: the den -> 0 limit, the origin and infinite arguments
+    included. A conditional CDF with one or two finite bounds is one
+    ``bvn_cdf`` call, so one ``owens_t`` call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, owens_t = [], _normal.owens_t
+
+        def counted(x, a):
+            calls.append(np.shape(x))
+            return owens_t(x, a)
+
+        monkeypatch.setattr(_normal, "owens_t", counted)
+        return calls
+
+    def test_bvn_cdf(self, calls):
+        h = np.array([0.3, 0.0, 1e-310, -np.inf, np.inf, -1.2])
+        k = np.array([-0.7, 0.0, 0.5, 0.2, 1.1, np.inf])
+        bvn_cdf(h, k, np.linspace(-0.9, 0.9, h.size))
+        assert calls == [(2, 6)]
+        bvn_cdf(0.3, -0.7, 0.5)
+        assert calls == [(2, 6), (2,)]
+
+    @pytest.mark.parametrize("upper,shape", [
+        (math.inf, (2, 2, 3)), (3.0, (2, 2, 2, 3))],
+        ids=["one finite bound", "two finite bounds"])
+    def test_cond_cdf(self, calls, upper, shape):
+        law = CondLaw(np.zeros(3), 1.0, np.array([0.5, 1.0, 2.0]), 0.5, upper)
+        law.cdf(np.array([[0.2, 0.9, 1.7], [0.4, 1.1, 2.5]]))
+        assert calls == [shape]
+
+
+class TestNonFiniteArguments:
+    """The normal density is 0 and its log -inf at +/-inf, by IEEE
+    arithmetic and without a warning; a NaN stays NaN."""
+
+    def test_infinities(self):
+        z = np.array([-np.inf, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(norm_pdf(z), [0.0, 0.0])
+            assert np.array_equal(_kernels._log_phi(z), [-np.inf, -np.inf])
+
+    def test_nan_stays_nan(self):
+        z = np.array([np.nan, 0.0])
+        assert np.isnan(norm_pdf(z)[0]) and norm_pdf(z)[1] > 0.0
+        assert np.isnan(_kernels._log_phi(z)[0])
+
+
+class TestBadCorrelation:
+    def test_message_names_the_first_bad_value(self):
+        rho = np.full((2, 500), 0.5)
+        rho[1, 7], rho[1, 9] = 1.0, np.nan
+        with pytest.raises(ValueError) as err:
+            bvn_cdf(0.1, 0.2, rho)
+        assert str(err.value) == (
+            "correlation must be in (-1, 1), got 1.0 at index (1, 7)")
+
+    def test_scalar(self):
+        with pytest.raises(ValueError) as err:
+            bvn_cdf(0.1, 0.2, np.nan)
+        assert str(err.value) == "correlation must be in (-1, 1), got nan"
+
+
+if __name__ == "__main__":
+    write()
