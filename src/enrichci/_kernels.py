@@ -4,8 +4,9 @@ The model: a stage 1 estimate with std dev ``sigma1`` is truncated to the
 interval (lower, upper); the precision-weighted pool of stage 1 and stage 2
 estimates is the working statistic. Its conditional density is a normal
 density tilted by a normal-CDF range factor. The CDF and truncated
-moments reduce to bivariate-normal rectangle probabilities, evaluated
-through Owen's T. ``CondLaw`` evaluates the law once per set of
+moments reduce to bivariate-normal rectangle probabilities (Owen's T),
+or, below a selection probability of 1e-4, to a quadrature over the
+stage 1 variable. ``CondLaw`` evaluates the law once per set of
 per-element parameters (each element has its own ``sigma1``, ``sigma2``,
 ``lower`` and ``upper``): a solver iteration builds one and reads F, f,
 partial moments, mean and variance from it, and ``cond_cdf`` and its
@@ -14,10 +15,10 @@ siblings are one-quantity calls of it. Quantiles and the tost endpoints in
 monotone CDF, safeguarded by a bracket.
 """
 
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr, ndtri
+from scipy.special import erfcx, ndtr, ndtri
 
 from ._normal import bvn_cdf, log_norm_prob_range, norm_pdf, norm_prob_range
 
@@ -25,12 +26,35 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _SQRT2, _SQRT_HALF_PI = np.sqrt([2.0, 0.5 * np.pi])
 
 # Below this selection log-probability the bivariate-normal differences in
-# the closed-form CDF cancel catastrophically; switch to direct quadrature
-# of the (log-space stable) density.
+# the closed-form CDF cancel catastrophically; switch to quadrature over the
+# stage 1 variable.
 _DEEP_LOG_DEN = np.log(1e-4)
+# Phi(z) rounds to its limit for |z| >= 8. A quadrature piece spanning more
+# than e^32 of the stage 1 density takes Gauss-Laguerre nodes.
+_STEP_REACH, _S_LAGUERRE = 8.0, 32.0
 
-_GL_PANELS = 8
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+def _gauss_rule(n, laguerre):
+    """Gauss-Legendre nodes and weights on (0, 1), or Gauss-Laguerre ones
+    with weights times e^x: numpy's nodes polished by Newton, weights from
+    the derivative there (numpy's are off by up to 1e-13)."""
+    x = (np.polynomial.laguerre.laggauss if laguerre
+         else np.polynomial.legendre.leggauss)(n)[0]
+    for _ in range(3):
+        prev, cur = np.ones_like(x), (1.0 - x) if laguerre else x
+        for j in range(1, n):
+            prev, cur = cur, (((2 * j + 1 - x) if laguerre
+                               else (2 * j + 1) * x) * cur - j * prev) / (j + 1)
+        d = (n * (cur - prev) / x if laguerre
+             else n * (x * cur - prev) / ((x - 1.0) * (x + 1.0)))
+        x = x - cur / d
+    if laguerre:
+        return x, np.exp(x) / (x * d * d)
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x) * (1.0 + x) * d * d)
+
+
+_LEG_T, _LEG_W = _gauss_rule(20, laguerre=False)
+_LAG_S, _LAG_W = _gauss_rule(20, laguerre=True)
 
 
 def pooled_sd(sigma1, sigma2):
@@ -43,36 +67,65 @@ def _log_phi(z):
     return -0.5 * z * z - _LOG_SQRT_2PI
 
 
-def _deep_partial_moment(a, b, center, delta, sigma12, s, lower, upper,
-                         log_den, orders):
-    """Integrals of t**k times the density over (a, b) clipped to 14 sigma12
-    around ``center``, one row per k in ``orders``, by composite
-    Gauss-Legendre on one density evaluation. Arguments are flat; each
-    weighted sum runs along a contiguous row, which rounds alike at any
-    number of elements and orders."""
-    lo = np.clip(a, center - 14.0 * sigma12, center + 14.0 * sigma12)
-    hi = np.clip(b, lo, center + 14.0 * sigma12)
-    l_fin, u_fin = np.isfinite(lower), np.isfinite(upper)
-    base = -np.log(sigma12) - log_den
-    edges = np.linspace(0.0, 1.0, _GL_PANELS + 1)[:, None, None]
-    width = hi - lo
-    p_w = (edges[1:] - edges[:-1]) * width  # (panel, 1, element)
-    t = lo + edges[:-1] * width + 0.5 * (_GL_NODES[:, None] + 1.0) * p_w
-    zx = (t - delta) / sigma12
-    if not u_fin.any():
-        log_num = log_ndtr((t - lower) / s)
-    elif not l_fin.any():
-        log_num = log_ndtr((upper - t) / s)
-    else:
-        log_num = log_norm_prob_range((lower - t) / s, (upper - t) / s)
-    density = np.exp(-0.5 * zx * zx - _LOG_SQRT_2PI + log_num + base)
-    vals = np.stack([t**k * density for k in orders])
-    rows = np.ascontiguousarray(vals.swapaxes(-1, -2))
-    panels = 0.5 * p_w[:, 0] * np.einsum(
-        "ji,i->j", rows.reshape(-1, _GL_NODES.size), _GL_WEIGHTS
-    ).reshape(len(orders), _GL_PANELS, -1)
-    # Panel totals add up in panel order, whatever the stacking.
-    return reduce(np.add, panels.swapaxes(0, 1), 0.0)
+def _mills(v):
+    """Q(v) / phi(v), the normal Mills ratio; 0 at +inf."""
+    return _SQRT_HALF_PI * erfcx(v / _SQRT2)
+
+
+def _deep_partial_moment(x, delta, sigma1, sigma2, a1, b1):
+    """Rows F(x), M1(-inf, x), M2(-inf, x); arguments broadcast. The estimate is
+    delta + c U + tau Z (U standard normal on (a1, b1), Z standard normal,
+    c = rho^2 sigma1, tau = sigma12 sqrt(1 - rho^2)): given U it is normal,
+    with z = (x - delta - c U) / tau a step of width sigma1 / sigma2 at u* =
+    (x - delta) / c. In V = +/-U, in its upper tail on (lo, hi), the region
+    where z >= 8 has truncated-normal closed forms, and the pieces from v*
+    to z = +/-8 Gauss rules in the exponent s of phi(p + y) / phi(p) from
+    their start p. Densities are relative to phi(lo) / P(lo < V < hi), a
+    Mills ratio; sums run along node rows, which round alike at any width."""
+    k = sigma2 / sigma1
+    c = sigma1 * sigma2 * sigma2 / (sigma1 * sigma1 + sigma2 * sigma2)
+    tau = c / k
+    flip = a1 < -b1
+    sign = np.where(flip, -1.0, 1.0)
+    lo, hi = np.where(flip, -b1, a1), np.where(flip, -a1, b1)
+    v_star, reach = sign * (x - delta) / c, _STEP_REACH / k
+    v_at = np.where(np.isfinite(v_star), v_star, lo - reach)  # x = +/-inf
+    den = _mills(lo) - np.exp(-0.5 * (hi - lo) * (hi + lo)) * _mills(hi)
+    # Where z >= 8 (V in (p, q)) the law given V lies below x.
+    p_q = np.minimum(np.maximum(np.stack([v_star + reach, v_star - reach]),
+                                lo), hi)
+    p_q = np.stack([np.where(flip, p_q[0], lo), np.where(flip, hi, p_q[1])])
+    out = 0.0
+    if np.any(p_q[1] > p_q[0]):
+        rel = np.exp(-0.5 * (p_q - lo) * (p_q + lo))  # phi / phi(lo)
+        mills = _mills(p_q)
+        prob = (rel[0] * mills[0] - rel[1] * mills[1]) / den  # den: P / phi(lo)
+        phi = rel / den
+        v1 = c * sign * (phi[0] - phi[1])  # c E[U] and c^2 E[U^2] there
+        p_q = np.where(np.isfinite(p_q), p_q, 0.0)  # phi is 0 at +inf
+        v2 = c * c * (prob + p_q[0] * phi[0] - p_q[1] * phi[1])
+        out = np.stack([prob, delta * prob + v1, (delta * delta + tau * tau)
+                        * prob + 2.0 * delta * v1 + v2])
+
+    edges = np.minimum(np.maximum(
+        np.stack([v_at - reach, v_at, v_at + reach]), lo), hi)[..., None]
+    start, span = edges[:2], edges[1:] - edges[:2]  # (piece, ..., node)
+    rate = np.maximum(start, 1.0)
+    s_end = span * (rate + 0.5 * span)
+    laguerre = s_end > _S_LAGUERRE
+    s = np.where(laguerre, _LAG_S, s_end * _LEG_T)
+    root = np.sqrt(rate * rate + 2.0 * s)  # ds/dv
+    y = 2.0 * s / (rate + root)  # s = rate y + y^2 / 2
+    v, lo = start + y, lo[..., None]
+    weight = (np.where(laguerre, _LAG_W, s_end * _LEG_W) / (root * den[..., None])
+              * np.exp(-0.5 * ((start - lo) + y) * (v + lo)))
+    z = (sign * k)[..., None] * ((v_at[..., None] - start) - y)
+    mean, tau = delta[..., None] + (c * sign)[..., None] * v, tau[..., None]
+    cdf, pdf = ndtr(z), norm_pdf(z)
+    rows = np.add.reduce(weight * np.stack([
+        cdf, mean * cdf - tau * pdf, (mean * mean + tau * tau) * cdf
+        - tau * pdf * (2.0 * mean + tau * z)]), axis=-1)
+    return out + rows[:, 0] + rows[:, 1]
 
 
 class CondLaw:
@@ -96,6 +149,7 @@ class CondLaw:
         self.low = np.isfinite(self.lower).any()
         self.up = np.isfinite(self.upper).any()
         self.any_deep = self.deep.any()
+        self._memo = None  # deep-tail points integrated, and F, M1, M2 there
 
     den = cached_property(lambda self: norm_prob_range(self.a1, self.b1))
 
@@ -113,7 +167,7 @@ class CondLaw:
         R = Q / phi, psi = phi(b) / phi(a) and D = R(a) - psi R(b), E[U] =
         (1 - psi) / D and Var(U) = 1 - E[U] (E[U] - a) - (b - a) psi / D:
         no E[U^2] - E[U]^2 cancellation far out in a tail."""
-        flip = self.a1 + self.b1 < 0.0
+        flip = self.a1 < -self.b1
         a = np.where(flip, -self.b1, self.a1)
         b = np.where(flip, -self.a1, self.b1)
         b_fin = np.isfinite(b)
@@ -140,24 +194,32 @@ class CondLaw:
     def pdf(self, x):
         return np.exp(self.logpdf(x))
 
-    def _patch_deep(self, outs, deep_fn, *points):
-        """``outs`` (arrays of one shape) with ``deep_fn`` on the deep-tail
-        elements: it gets ``points``, mean, delta, sigma12, s, lower, upper
-        and log_den there, and returns one row per output."""
-        if not self.any_deep:
-            return outs
-        shape = np.shape(outs[0])
-        deep = np.broadcast_to(self.deep, shape).ravel()
-        args = (*points, self.mean, self.delta, self.sigma12, self.s,
-                self.lower, self.upper, self.log_den)
-        cols = np.empty((len(args), *shape))
-        for i, v in enumerate(args):
-            cols[i] = v
-        rows = deep_fn(*cols.reshape(len(args), -1)[:, deep])
-        outs = [np.ravel(out).copy() for out in outs]
-        for out, row in zip(outs, rows):
-            out[deep] = row
-        return [out.reshape(shape) for out in outs]
+    @cached_property
+    def _deep_args(self):
+        """delta, sigma1, sigma2, a1 and b1 at the deep elements, flat."""
+        return [np.broadcast_to(v, self.deep.shape)[self.deep]
+                for v in (self.delta, self.sigma1, self.sigma2, self.a1, self.b1)]
+
+    def _deep_moments(self, x, shape):
+        """Rows F, M1, M2 on (-inf, x) at the deep elements of ``shape`` (in
+        ``np.flatnonzero`` order). A law keeps the points it integrated, so
+        the CDF and the partial moments of one iteration share them."""
+        if shape[len(shape) - self.deep.ndim:] != self.deep.shape:
+            return CondLaw(*np.broadcast_arrays(
+                self.delta, self.sigma1, self.sigma2, self.lower, self.upper,
+                np.empty(shape))[:5])._deep_moments(x, shape)
+        pts = np.broadcast_to(x, shape).reshape(-1, self.deep.size)[
+            :, self.deep.ravel()]
+        memo_x, memo = self._memo or (pts[:0], None)
+        if memo_x.shape[0] * pts.size <= 1 << 22:  # bound the comparison
+            known = memo_x[:, None] == pts  # (memo row, row, deep element)
+            if known.any(0).all():
+                return memo[:, known.argmax(0),
+                            np.arange(pts.shape[1])].reshape(3, -1)
+        rows = _deep_partial_moment(pts, *self._deep_args)
+        self._memo = (np.concatenate([memo_x, pts]), rows if memo is None
+                      else np.concatenate([memo, rows], axis=1))
+        return rows.reshape(3, -1)
 
     def cdf(self, x):
         """Conditional CDF through bivariate-normal rectangle probabilities."""
@@ -174,9 +236,11 @@ class CondLaw:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.minimum(np.maximum(
                 (below_upper - below_lower) / self.den, 0.0), 1.0)
-        out, = self._patch_deep([out], lambda x, *v: np.clip(
-            _deep_partial_moment(-np.inf, np.where(np.isfinite(x), x, 0.0),
-                                 *v, orders=(0,)), 0.0, 1.0), x)
+        if self.any_deep:
+            out = np.array(out)
+            out.reshape(-1)[np.flatnonzero(np.broadcast_to(
+                self.deep, out.shape))] = np.clip(
+                    self._deep_moments(x, out.shape)[0], 0.0, 1.0)
         out = np.where(zx == np.inf, 1.0, out)
         return np.where(zx == -np.inf, 0.0, out)
 
@@ -239,8 +303,16 @@ class CondLaw:
                 j2 = za_f * r_a - zb_f * r_b + (beta / (r * r)) * (cu2 - cl2)
                 outs.append(delta * (outs[0] + sigma12 * j1 / self.den)
                             + sigma12 * sigma12 * (cdf_term + j2 / self.den))
-        return self._patch_deep(outs, lambda *v: _deep_partial_moment(
-            *v, orders=(1, 2)[:order]), a, b)
+        if self.any_deep:
+            outs = [np.array(out) for out in outs]
+            shape = outs[0].shape
+            at = np.flatnonzero(np.broadcast_to(self.deep, shape))
+            rows = self._deep_moments(b, shape)
+            if np.any(a != -np.inf):
+                rows = rows - self._deep_moments(a, shape)
+            for j, out in enumerate(outs, 1):
+                out.reshape(-1)[at] = rows[j]
+        return outs
 
 
 def cond_logpdf(x, delta, sigma1, sigma2, lower, upper):
@@ -277,16 +349,17 @@ def probit_newton(f, x, q, sign, step, xtol):
     ``f(x, i)`` returns F and dF/dx at ``x`` for the elements ``i``; F
     increases in x for ``sign`` +1 and decreases for -1. Newton steps on
     ndtri(F) - ndtri(q), linear in x for an untruncated normal law, start
-    at ``x`` and are clipped to ``step``. Where F rounds to 0 or 1, or a
-    step points away from the root or leaves the bracket the evaluations
-    so far imply, the element bisects that bracket, or moves ``step``
-    towards the root while it is open on that side. Only a Newton step
-    converges: probit residual at most 1e-6, and a step below ``xtol`` or
-    stalled at the rounding floor (under 1e-7 ``step``, no longer halving).
-    An element with that residual whose bracket has shrunk to ``xtol``
-    also converges, at its evaluated point: where F is noisy at the
-    rounding level, Newton may keep pointing out of such a bracket.
-    ``step`` and ``xtol`` broadcast to ``x``.
+    at ``x`` and are clipped to a trust radius. Where F rounds to 0 or 1,
+    or a step points away from the root or leaves the bracket the
+    evaluations so far imply, the element bisects that bracket, or moves
+    the radius towards the root while it is open on that side. The radius
+    is ``step``, doubled after each clipped step for one the same way.
+    Only a Newton step converges: probit residual at most 1e-6, and a step
+    below ``xtol`` or stalled at the rounding floor (under 1e-7 ``step``,
+    no longer halving). An element with that residual whose bracket has
+    shrunk to ``xtol`` also converges, at its evaluated point: where F is
+    noisy at the rounding level, Newton may keep pointing out of such a
+    bracket. ``step`` and ``xtol`` broadcast to ``x``.
     """
     x = np.array(x, dtype=float)
     zq = ndtri(q)
@@ -294,6 +367,7 @@ def probit_newton(f, x, q, sign, step, xtol):
     lo = np.full(x.shape, -np.inf)
     hi = np.full(x.shape, np.inf)
     last = np.full(x.shape, np.inf)
+    trust = np.zeros(x.shape)  # after a clipped step: 2 radius, signed
     ok = np.zeros(x.shape, dtype=bool)
     idx = np.arange(x.size)
     for _ in range(100):
@@ -304,6 +378,7 @@ def probit_newton(f, x, q, sign, step, xtol):
         z = ndtri(fx)
         resid = z - zq[idx]
         towards = -sign * np.sign(resid)  # +1: the root lies above xi
+        reach = np.fmax(trust[idx] * towards, step_i)
         lo_i = np.where(towards > 0, xi, lo[idx])
         hi_i = np.where(towards < 0, xi, hi[idx])
         lo[idx], hi[idx] = lo_i, hi_i
@@ -314,12 +389,14 @@ def probit_newton(f, x, q, sign, step, xtol):
         stalled = (size <= 1e-7 * step_i) & (size > 0.5 * last_i)
         settled = (size <= xtol_i) | stalled
         conv = (np.abs(resid) <= 1e-6) & (settled | (hi_i - lo_i <= xtol_i))
-        x_new = xi + np.minimum(np.maximum(newton, -step_i), step_i)
+        x_new = xi + np.minimum(np.maximum(newton, -reach), reach)
         guard = ~conv & ~((towards * newton > 0) & (x_new > lo_i)
                           & (x_new < hi_i))
         ahead = np.where(towards > 0, hi_i, lo_i)
-        x_new = np.where(guard, np.where(np.isfinite(ahead), 0.5 * (xi + ahead),
-                                         xi + towards * step_i), x_new)
+        open_ = np.isinf(ahead)
+        x_new = np.where(guard, np.where(open_, xi + towards * reach,
+                                         0.5 * (xi + ahead)), x_new)
+        trust[idx] = np.where(guard, open_, size > reach) * towards * 2.0 * reach
         x_new = np.where(conv & ~settled, xi, x_new)
         last[idx[guard]] = np.inf
         live = np.isfinite(x_new) & np.isfinite(fx)

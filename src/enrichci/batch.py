@@ -86,9 +86,9 @@ def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
 
 def _slope_matches_density(at, delta, sigma1, sigma2, lower, upper):
     """Where the CDF's central-difference slope at ``at`` matches the
-    density to 1e-5 relative. Where the kernels lose accuracy (rho near 1)
-    it does not; solvers fail such elements rather than return the root of
-    inaccurate equations."""
+    density to 1e-5 relative. Where a kernel loses accuracy it does not;
+    solvers fail such elements rather than return the root of inaccurate
+    equations."""
     law = CondLaw(delta, sigma1, sigma2, lower, upper)
     h = 1e-4 * law.sigma12
     cdf_up, cdf_down = law.cdf(np.stack([at + h, at - h]))

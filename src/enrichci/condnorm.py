@@ -7,7 +7,8 @@ are size-1 calls of the array kernels in ``_kernels``.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 
 from . import _kernels
 from ._normal import log_norm_prob_range
@@ -79,8 +80,13 @@ class ConditionalNormal:
         return math.isfinite(self.lower) or math.isfinite(self.upper)
 
     def at(self, delta):
-        """Same truncation geometry with a different true effect."""
-        return replace(self, delta=float(delta))
+        """Same truncation geometry with a different true effect; the
+        selection-probability floor holds for the geometry as given, not at
+        every effect (an interval endpoint's may be far lower)."""
+        if not math.isfinite(delta := float(delta)):
+            raise ValueError(f"delta must be finite, got {delta}")
+        object.__setattr__(moved := copy(self), "delta", delta)
+        return moved
 
     def _args(self):
         return (self.delta, self.sigma1, self.sigma2, self.lower, self.upper)

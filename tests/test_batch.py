@@ -568,9 +568,11 @@ class TestProbitNewtonSafeguards:
     """One case per safeguard; each fails with that safeguard taken out."""
 
     def test_saturated_cdf_steps_towards_the_root(self):
-        # The untruncated start of the 0.999 quantile lies where the CDF
-        # rounds to 1, so the probit step is undefined there.
-        q = np.array([1e-3, 0.999])
+        # The untruncated start of the 0.9999 quantile lies where the CDF
+        # rounds to 1 (1 - F is 2e-19), so the probit step is undefined
+        # there. At the 0.999 start 1 - F is 8.9e-16, which an exact law
+        # does not round away.
+        q = np.array([1e-3, 0.9999])
         args = (0.0, 0.2, 1.0, 2.0, np.inf)
         start = cond_mean(*args) + ndtri(q) * pooled_sd(0.2, 1.0)
         assert cond_cdf(start[1], *args) == 1.0
@@ -712,8 +714,8 @@ class TestPerElementGeometry:
     SIGMAS = [(1.0, 1.0), (0.6, 1.3)]
     # (lower, upper, observations): one- and two-sided, untruncated, a
     # bound 3 sigma1 out, whose endpoint solves reach the deep-tail path,
-    # and deep one- and two-sided bounds, where umau's M1 and M2 come from
-    # one deep-tail quadrature.
+    # and deep one- and two-sided bounds, where umau's F, M1 and M2 come
+    # from one deep-tail quadrature per point.
     CASES = [
         (0.0, math.inf, (0.1, 0.8, 1.7)),
         (-math.inf, 0.4, (-1.1, 0.0, 0.3)),
@@ -731,18 +733,26 @@ class TestPerElementGeometry:
         columns = np.array([rows[i] for i in order]).T
 
         # Kernel elements on the closed-form and on the deep-tail path, and
-        # deep elements whose M1 and M2 share one set of nodes.
+        # deep (element, point) pairs whose quadrature the CDF and the
+        # partial moments of one iteration share.
         paths = np.zeros(2, dtype=int)
         shared = np.zeros(1, dtype=int)
-        patch_deep = _kernels.CondLaw._patch_deep
+        deep_moments = _kernels.CondLaw._deep_moments
+        deep_rule = _kernels._deep_partial_moment
 
-        def counted(law, outs, *args):
-            deep = np.broadcast_to(law.deep, np.shape(outs[0])).ravel()
-            paths[:] += np.bincount(deep, minlength=2)
-            shared[:] += deep.sum() * (len(outs) == 2)
-            return patch_deep(law, outs, *args)
+        def counted(law, x, shape):
+            deep = np.broadcast_to(law.deep, shape)
+            paths[:] += np.bincount(deep.ravel(), minlength=2)
+            shared[:] += np.count_nonzero(np.broadcast_to(x, shape)[deep]
+                                          != -np.inf)
+            return deep_moments(law, x, shape)
 
-        monkeypatch.setattr(_kernels.CondLaw, "_patch_deep", counted)
+        def counted_rule(x, *args):
+            shared[:] -= x.size
+            return deep_rule(x, *args)
+
+        monkeypatch.setattr(_kernels.CondLaw, "_deep_moments", counted)
+        monkeypatch.setattr(_kernels, "_deep_partial_moment", counted_rule)
         methods = ("naive", "umau", "tost")
         stacked = batch_intervals(columns[0], 0.05, *columns[1:], methods)
         monkeypatch.undo()

@@ -363,6 +363,14 @@ class TestConditionalVariance:
         assert got == pytest.approx(self._quad(m), rel=0,
                                     abs=1e-10 * m.sigma12**2)
 
+    @pytest.mark.parametrize("s1,s2", [(1.0, 1.0), (0.2, 1.0)])
+    def test_untruncated_is_pooled_variance(self, s1, s2):
+        # Both bounds infinite: no inf - inf, so no RuntimeWarning (an
+        # error in this suite).
+        law = _kernels.CondLaw(0.0, s1, s2, -math.inf, math.inf)
+        assert float(law.var) == pytest.approx(pooled_sd(s1, s2)**2,
+                                               rel=1e-15)
+
 
 def _cdf_both_bivariate_terms(x, delta, s1, s2, lower, upper):
     """The conditional CDF's closed form with both bivariate-normal terms
