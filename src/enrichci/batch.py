@@ -4,9 +4,9 @@ Each element carries its own geometry (``sigma1``, ``sigma2`` and the
 bounds) and observation, so all targets of a trial, or all replicates of
 a scenario, are solved at once: damped Newton for the two moment
 constraints of the acceptance region, a joint Newton in the effect and
-the acceptance cut for the umau endpoints, and a safeguarded Newton on
-the probit scale (``_kernels.probit_newton``) for the tost endpoints.
-Each iteration evaluates the conditional law once, as one
+cut from a closed-form start for the umau endpoints, and a safeguarded
+Newton on the probit scale (``_kernels.probit_newton``) for the tost
+endpoints. Each iteration evaluates the conditional law once, as one
 ``_kernels.CondLaw`` at all the points it needs. Elements that fail to
 converge, or whose CDF disagrees with its density at the solution, are
 reported through an ``ok`` mask.
@@ -85,12 +85,12 @@ def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
 
 
 def _slope_matches_density(at, delta, sigma1, sigma2, lower, upper):
-    """Where the CDF's central-difference slope at ``at`` matches the
-    density to 1e-5 relative. Where a kernel loses accuracy it does not;
-    solvers fail such elements rather than return the root of inaccurate
-    equations."""
+    """Where the CDF's central-difference slope at ``at``, over 1e-4 of the
+    law's sd however narrow the law, matches the density to 1e-5 relative.
+    Where a kernel loses accuracy it does not; solvers fail such elements
+    rather than return the root of inaccurate equations."""
     law = CondLaw(delta, sigma1, sigma2, lower, upper)
-    h = 1e-4 * law.sigma12
+    h = 1e-4 * np.sqrt(law.var)
     cdf_up, cdf_down = law.cdf(np.stack([at + h, at - h]))
     pdf = law.pdf(at)
     return np.abs((cdf_up - cdf_down) / (2 * h) - pdf) <= 1e-5 * pdf
@@ -107,43 +107,43 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
     exponential-family identity d/d delta E[g(X)] = Cov(g(X), X) / sigma12^2.
     It starts at the equal-tailed endpoint (``seeds``: a ``batch_ctost_ci``
     result, solved here if not given) with c at the alpha/2 or 1 - alpha/2
-    quantile, where the size equation holds. Steps are clipped to one
-    pooled sd. Returns (lower, upper, ok).
+    normal quantile of the conditional law (or one conditional sd past the
+    observation). Steps are clipped to one pooled sd in delta and one
+    conditional sd in c. Returns (lower, upper, ok).
     """
     shape, (observed, sigma1, sigma2, lower, upper) = flat_broadcast(
         observed, sigma1, sigma2, lower, upper)
     n = observed.size
     if seeds is None:
         seeds = batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper)
-    seed_ok = np.ravel(seeds[2]).astype(bool)
-    naive = batch_naive_ci(observed, alpha, sigma1, sigma2)
-    delta = np.concatenate([
-        np.where(seed_ok, np.ravel(seeds[0]), naive[0]),
-        np.where(seed_ok, np.ravel(seeds[1]), naive[1]),
-    ])
+    delta = np.where(np.tile(np.ravel(seeds[2]), 2).astype(bool),
+                     np.concatenate([np.ravel(s) for s in seeds[:2]]),
+                     np.concatenate(batch_naive_ci(observed, alpha, sigma1,
+                                                   sigma2)))
     # side -1: the lower endpoints (c below the observation); +1: the upper.
     side = np.repeat([-1.0, 1.0], n)
     x, sigma1, sigma2, lower, upper = (
         np.tile(v, 2) for v in (observed, sigma1, sigma2, lower, upper))
-    sigma12 = pooled_sd(sigma1, sigma2)
     beta = 1.0 - alpha
-    c = cond_quantile(np.where(side < 0, 0.5 * alpha, 1.0 - 0.5 * alpha),
-                      delta, sigma1, sigma2, lower, upper)
-    c = np.where(side * (c - x) > 0.0, c, x + side * sigma12)
+    law = CondLaw(delta, sigma1, sigma2, lower, upper)
+    sigma12, spread = law.sigma12, np.sqrt(law.var)
+    c = law.mean + side * ndtri(1.0 - 0.5 * alpha) * spread
+    c = np.where(side * (c - x) > 0.0, c, x + side * spread)
 
     last_step = np.full(2 * n, np.inf)
     ok = np.zeros(2 * n, dtype=bool)
     idx = np.arange(2 * n)
-    for _ in range(50):
+    for it in range(50):
         if idx.size == 0:
             break
         d, cc, xo, sd, s12 = (v[idx] for v in (delta, c, x, side, sigma12))
-        law = CondLaw(d, sigma1[idx], sigma2[idx], lower[idx], upper[idx])
+        if it:
+            law = CondLaw(d, sigma1[idx], sigma2[idx], lower[idx], upper[idx])
         f_c, f_x = law.cdf(np.stack([cc, xo]))
         a, b = np.where(sd < 0, [cc, xo], [xo, cc])
         f_a, f_b = np.where(sd < 0, [f_c, f_x], [f_x, f_c])
         m1, m2 = law.partial_moments(a, b, f_a, f_b, order=2)
-        mean, var = law.mean, law.var
+        mean, var, spread = law.mean, law.var, np.sqrt(law.var)
         prob = f_b - f_a
         g1, g2 = prob - beta, m1 - beta * mean
         # Jacobian: d/d delta from the covariance identity; d/dc of G1 and
@@ -164,7 +164,7 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
         stalled = (last <= 1e-7 * s12) & (size > 0.5 * last)
         conv = finite & (stalled | (
             np.maximum(size, np.abs(step_c)) <= 1e-11 * s12))
-        c_new = cc - np.clip(step_c, -s12, s12)
+        c_new = cc - np.clip(step_c, -spread, spread)
         # A cut that crosses the observation moves halfway towards it.
         c_new = np.where(sd * (c_new - xo) > 0.0, c_new, 0.5 * (cc + xo))
         delta[idx[finite]] = (d - np.clip(step_d, -s12, s12))[finite]

@@ -524,6 +524,40 @@ class TestUmauProperties:
             assert _umau_equation_error(geom, x, est, 0.05) is None
 
 
+def _start_problems(n, seed=0):
+    """``n`` fixed problems: sigma1/sigma2 log-uniform in [0.03, 30];
+    lower-only, upper-only and two-sided bounds starting from 2 sigma1
+    below to 5 sigma1 above delta = 0; one observation each at a
+    conditional quantile in [1e-3, 1 - 1e-3]. Returns (sigma1, lower,
+    upper, observed) with sigma2 = 1."""
+    rng = np.random.default_rng(seed)
+    s1 = 10.0 ** rng.uniform(math.log10(0.03), math.log10(30.0), n)
+    kind = rng.integers(0, 3, n)  # lower-only, upper-only, two-sided
+    start = rng.uniform(-2.0, 5.0, n) * s1
+    width = rng.uniform(0.1, 3.0, n) * s1
+    lower = np.where(kind == 1, -np.inf, start)
+    upper = np.where(kind == 0, np.inf,
+                     np.where(kind == 1, -start, start + width))
+    q = rng.uniform(1e-3, 1.0 - 1e-3, n)
+    return s1, lower, upper, cond_quantile(q, 0.0, s1, 1.0, lower, upper)
+
+
+class TestUmauStart:
+    """The cut starts at a normal quantile of the conditional law, with
+    its steps clipped to the law's sd: every endpoint of 200 fixed
+    problems converges and meets its defining equations."""
+
+    def test_every_endpoint_converges(self):
+        s1, lower, upper, observed = _start_problems(200)
+        lo, hi, ok = batch_umau_ci(observed, 0.05, s1, 1.0, lower, upper)
+        assert bool(np.all(ok))
+        for row in zip(s1, lower, upper, observed, lo, hi):
+            geom = ConditionalNormal(0.0, row[0], 1.0, lower=row[1],
+                                     upper=row[2])
+            est = IntervalEstimate(row[4], row[5], "umau", 0.05)
+            assert _umau_equation_error(geom, row[3], est, 0.05) is None, row
+
+
 #: GEOMETRIES plus deep one- and two-sided truncations and extreme
 #: sigma1/sigma2.
 ROOT_GEOMETRIES = GEOMETRIES + [
@@ -693,11 +727,12 @@ class TestOneEvaluationPerIteration:
         ok = batch_umau_ci(np.array([0.4, 1.2]), 0.05, *args,
                            seeds=seeds)[2]
         assert bool(np.all(ok))
-        # The cut's starting quantile, then the joint Newton (the CDF at
-        # the cut and the observation), then the slope check at both.
-        self._assert_one_per_iteration(counts, starts=1)
-        assert counts["cdf"] > counts["newton"] + 1
-        assert counts["points"] == {(), (2,), (2, 2)}
+        # The joint Newton (the CDF at the cut and the observation), whose
+        # first iteration reuses the law the cut starts from, then the
+        # slope check at both. No quantile is solved.
+        self._assert_one_per_iteration(counts, starts=0)
+        assert counts["cdf"] > 1 and counts["newton"] == 0
+        assert counts["points"] == {(2,), (2, 2)}
 
     def test_batch_solve_umpu(self, counts, args):
         ok = batch_solve_umpu(np.array([0.0, 0.7]), 0.05, *args,

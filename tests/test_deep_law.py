@@ -3,12 +3,17 @@
 ``data/deep-law.json`` holds ``oracle.mp_integrals`` values of F, M1 and M2
 over (-inf, x) for deep one- and two-sided truncations at sigma1/sigma2 in
 {0.01, 0.05, 0.1, 0.2, 1, 10}, at the law's mean and one and two standard
-deviations either side. ``PYTHONPATH=src python tests/test_deep_law.py``
-rewrites it (a few minutes: each value is a 40-digit quadrature).
+deviations either side. ``data/tost-small-ratio.json`` holds the tost
+endpoints of every plausible observation at sigma1/sigma2 in {0.01, 0.02},
+one- and two-sided, with the oracle's F at each. ``PYTHONPATH=src python
+tests/test_deep_law.py [deep-law] [tost-small-ratio]`` rewrites the named
+files, by default both (a few minutes: each value is a 40-digit
+quadrature).
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +27,10 @@ from oracle import mp_integrals
 from test_batch import _bounds, _plausible_observations
 
 DATA = Path(__file__).resolve().parent / "data" / "deep-law.json"
+TOST_DATA = DATA.with_name("tost-small-ratio.json")
 RATIOS = (0.01, 0.05, 0.1, 0.2, 1.0, 10.0)
+#: The tost targets of the lower and upper endpoints, F(observed) at each.
+TAILS = (0.975, 0.025)
 
 
 def geometries():
@@ -48,6 +56,32 @@ def write():
                                                -math.inf, x) for x in xs]}
             for name, s1, lower, upper, xs in points()]
     DATA.write_text(json.dumps(rows, indent=1) + "\n")
+
+
+def small_ratio_problems():
+    """(sigma1, kind, lower, upper, observed) at sigma1/sigma2 of 0.01 and
+    0.02: the plausible observations, one- and two-sided."""
+    for s1 in (0.01, 0.02):
+        for kind in ("one-sided", "two-sided"):
+            lower, upper = _bounds(s1, kind)
+            yield (s1, kind, lower, upper,
+                   _plausible_observations(s1, 1.0, lower, upper))
+
+
+def write_tost():
+    rows = []
+    for s1, kind, lower, upper, observed in small_ratio_problems():
+        lo, hi, ok = batch_ctost_ci(observed, 0.05, s1, 1.0, lower, upper)
+        if not np.all(ok):
+            raise RuntimeError(f"tost fails at sigma1 {s1}, {kind}")
+        ends = [[float(a), float(b)] for a, b in zip(lo, hi)]
+        cdf = [[mp_integrals(d, s1, 1.0, lower, upper, -math.inf, float(x),
+                             orders=(0,))[0] for d in pair]
+               for x, pair in zip(observed, ends)]
+        rows.append({"sigma1": s1, "kind": kind, "lower": lower,
+                     "upper": upper, "observed": observed.tolist(),
+                     "endpoints": ends, "cdf": cdf})
+    TOST_DATA.write_text(json.dumps(rows, indent=1) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +158,68 @@ class TestNearDegenerateRatios:
         assert bool(np.all(umau[0] < umau[1]))
 
 
+class TestSlopeCheck:
+    """The slope check passes the kernels' law at tost endpoints, deep ones
+    included, and rejects a law whose CDF slope is off by 1e-4 relative,
+    at sigma1/sigma2 of 1 and of 0.01, where the law is about 0.01 sigma12
+    wide."""
+
+    @pytest.mark.parametrize("factor", [1.0 - 1e-4, 1.0 + 1e-4])
+    @pytest.mark.parametrize("ratio", [1.0, 0.01])
+    def test_rejects_a_slope_off_by_1e_4(self, monkeypatch, ratio, factor):
+        lower, upper = _bounds(ratio, "one-sided")
+        observed = _plausible_observations(ratio, 1.0, lower, upper)
+        lo, hi, ok = batch_ctost_ci(observed, 0.05, ratio, 1.0, lower, upper)
+        assert bool(np.all(ok))
+        at, args = np.tile(observed, 2), (ratio, 1.0, lower, upper)
+        delta = np.concatenate([lo, hi])
+        assert bool(np.all(batch._slope_matches_density(at, delta, *args)))
+        cdf = CondLaw.cdf
+        monkeypatch.setattr(CondLaw, "cdf",
+                            lambda law, x: factor * cdf(law, x))
+        assert not np.any(batch._slope_matches_density(at, delta, *args))
+
+
+class TestTostAtSmallRatios:
+    """sigma1/sigma2 of 0.01 and 0.02: tost converges on every plausible
+    observation, and the oracle's F at each endpoint is within 1e-10 of
+    its tail."""
+
+    @pytest.fixture(scope="class")
+    def stored(self):
+        return json.loads(TOST_DATA.read_text())
+
+    def test_covers_the_plausible_observations(self, stored):
+        problems = list(small_ratio_problems())
+        assert [(r["sigma1"], r["kind"]) for r in stored] == [
+            p[:2] for p in problems]
+        for row, (s1, _, lower, upper, observed) in zip(stored, problems):
+            assert (row["lower"], row["upper"]) == (lower, upper)
+            assert np.allclose(row["observed"], observed, rtol=0.0,
+                               atol=1e-9 * pooled_sd(s1, 1.0))
+
+    def test_stored_values_are_the_oracle(self, stored):
+        row = stored[0]
+        got = mp_integrals(row["endpoints"][0][0], row["sigma1"], 1.0,
+                           row["lower"], row["upper"], -math.inf,
+                           row["observed"][0], orders=(0,))
+        assert got[0] == row["cdf"][0][0]
+
+    def test_every_observation_meets_its_tails(self, stored):
+        for row in stored:
+            s1 = row["sigma1"]
+            lo, hi, ok = batch_ctost_ci(np.array(row["observed"]), 0.05, s1,
+                                        1.0, row["lower"], row["upper"])
+            assert bool(np.all(ok)), (s1, row["kind"])
+            # |dF/d delta| = |Cov(1{X <= x}, X)| / sigma12^2 <= 0.5 / sigma12,
+            # so F at the solved endpoint misses its tail by at most the
+            # stored miss plus half the move in sigma12.
+            moved = np.abs(np.stack([lo, hi], axis=1)
+                           - np.array(row["endpoints"])) / pooled_sd(s1, 1.0)
+            miss = np.abs(np.array(row["cdf"]) - np.array(TAILS))
+            assert np.max(miss + 0.5 * moved) <= 1e-10, (s1, row["kind"])
+
+
 class TestOneDeepPassPerIteration:
     """Where every element is deep, the deep rule runs once per CDF call:
     the partial moments of an iteration reuse the CDF's quadrature."""
@@ -183,4 +279,6 @@ class TestTrustRadius:
 
 
 if __name__ == "__main__":
-    write()
+    writers = {"deep-law": write, "tost-small-ratio": write_tost}
+    for name in sys.argv[1:] or writers:
+        writers[name]()
