@@ -2,17 +2,17 @@
 
 The model: a stage 1 estimate with std dev ``sigma1`` is truncated to the
 interval (lower, upper); the precision-weighted pool of stage 1 and stage 2
-estimates is the working statistic. Its conditional density is a normal
-density tilted by a normal-CDF range factor. The CDF and truncated
-moments reduce to bivariate-normal rectangle probabilities (Owen's T),
-or, below a selection probability of 1e-4, to a quadrature over the
-stage 1 variable. ``CondLaw`` evaluates the law once per set of
-per-element parameters (each element has its own ``sigma1``, ``sigma2``,
-``lower`` and ``upper``): a solver iteration builds one and reads F, f,
-partial moments, mean and variance from it, and ``cond_cdf`` and its
-siblings are one-quantity calls of it. Quantiles and the tost endpoints in
-``batch`` are ``probit_newton`` roots: Newton on the probit scale of a
-monotone CDF, safeguarded by a bracket.
+estimates is the working statistic. Its CDF is bivariate-normal rectangles:
+one ``bvn_cdf`` call takes Owen's T on each finite bound and point of the
+elements whose selection probability is at least 1e-4 (an infinite bound's
+term is Phi or 0), and F and the partial moments of the other elements are
+a quadrature over the stage 1 variable. ``CondLaw`` evaluates the law once
+per set of per-element parameters (each element has its own ``sigma1``,
+``sigma2``, ``lower`` and ``upper``): a solver iteration builds one and
+reads F, f, partial moments, mean and variance from it, and ``cond_cdf``
+and its siblings are one-quantity calls of it. Quantiles and the tost
+endpoints in ``batch`` are ``probit_newton`` roots: Newton on the probit
+scale of a monotone CDF, safeguarded by a bracket.
 """
 
 from functools import cached_property
@@ -131,8 +131,9 @@ def _deep_partial_moment(x, delta, sigma1, sigma2, a1, b1):
 class CondLaw:
     """The conditional law, per element. Construction computes what every
     quantity shares: the geometry, the standardized stage 1 bounds ``a1``
-    and ``b1``, the selection log-probability, the deep-tail mask, and the
-    flags ``low``/``up`` (any finite lower/upper bound) and ``any_deep``."""
+    and ``b1``, the selection log-probability, the deep-tail mask and
+    ``any_deep``, the finite lower/upper bound counts ``low``/``up``, and
+    ``mixed``: some element is deep or lacks a finite bound another has."""
 
     def __init__(self, delta, sigma1, sigma2, lower, upper):
         self.delta, self.sigma1, self.sigma2, self.lower, self.upper = (
@@ -146,9 +147,11 @@ class CondLaw:
         self.b1 = (self.upper - self.delta) / self.sigma1
         self.log_den = log_norm_prob_range(self.a1, self.b1)
         self.deep = self.log_den < _DEEP_LOG_DEN
-        self.low = np.isfinite(self.lower).any()
-        self.up = np.isfinite(self.upper).any()
+        self.low = np.count_nonzero(np.isfinite(self.lower))
+        self.up = np.count_nonzero(np.isfinite(self.upper))
         self.any_deep = self.deep.any()
+        self.mixed = (self.any_deep or 0 < self.low < self.lower.size
+                      or 0 < self.up < self.upper.size)
         self._memo = None  # deep-tail points integrated, and F, M1, M2 there
 
     den = cached_property(lambda self: norm_prob_range(self.a1, self.b1))
@@ -225,15 +228,25 @@ class CondLaw:
         """Conditional CDF through bivariate-normal rectangle probabilities."""
         x = np.asarray(x, dtype=float)
         zx = (x - self.delta) / self.sigma12
-        # An infinite bound's bivariate term is Phi(zx) or 0: skip Owen's T.
-        # Two finite bounds share one call.
-        if self.up and self.low:
+        # One bvn_cdf call on the finite bounds of closed-form elements; an
+        # infinite bound's term is Phi(zx) or 0. Deep ones may overflow here.
+        if self.mixed:
+            zx_b, *k, rho = np.broadcast_arrays(zx, self.b1, self.a1, self.rho)
+            k = np.stack(k)
+            use = np.isfinite(k) & ~self.deep
+            at = np.nonzero(use)
+            below = np.zeros(k.shape)
+            if at[0].size:
+                below[at] = bvn_cdf(zx_b[at[1:]], k[at], rho[at[1:]])
+            below[0, ~use[0]] = ndtr(zx_b[~use[0]])
+            below_upper, below_lower = below
+        elif self.up and self.low:
             zx_b, *k = np.broadcast_arrays(zx, self.b1, self.a1)
             below_upper, below_lower = bvn_cdf(zx_b, np.stack(k), self.rho)
         else:
             below_upper = bvn_cdf(zx, self.b1, self.rho) if self.up else ndtr(zx)
             below_lower = bvn_cdf(zx, self.a1, self.rho) if self.low else 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = np.minimum(np.maximum(
                 (below_upper - below_lower) / self.den, 0.0), 1.0)
         if self.any_deep:

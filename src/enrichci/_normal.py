@@ -1,8 +1,8 @@
 """Numerically stable normal and bivariate-normal building blocks.
 
 All functions broadcast over numpy arrays and accept +/-inf arguments
-where a limit exists. ``bvn_cdf`` evaluates both Owen's T terms of the
-tetrachoric reduction in one ``owens_t`` call.
+where a limit exists. ``bvn_cdf`` makes one ``owens_t`` call for both
+terms of every entry and takes its den -> 0 and infinite limits by index.
 """
 
 import numpy as np
@@ -73,8 +73,8 @@ def bvn_cdf(h, k, rho):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = owens_t(x, num / den)
     if not den.all():
-        # T(x, +/-inf) = +/- (1 - Phi(|x|)) / 2
-        t = np.where(den == 0.0, np.sign(num) * 0.5 * ndtr(-np.abs(x)), t)
+        at = den == 0.0  # T(x, +/-inf) = +/- (1 - Phi(|x|)) / 2
+        t[at] = np.sign(num[at]) * 0.5 * ndtr(-np.abs(x[at]))
     phi = ndtr(x)
     prod = x[0] * x[1]
     below = (prod < 0.0) | ((prod == 0.0) & (x[0] + x[1] < 0.0))
@@ -84,10 +84,11 @@ def bvn_cdf(h, k, rho):
         origin = (x[0] == 0.0) & (x[1] == 0.0)
         core = np.where(origin, 0.25 + np.arcsin(rho) / (2.0 * np.pi), core)
     core = np.minimum(np.maximum(core, 0.0), 1.0)
-    if not finite:
-        # Infinite-argument limits.
-        h, k = hk
-        core = np.where(k == np.inf, ndtr(h), core)
-        core = np.where(h == np.inf, ndtr(k), core)
-        core = np.where((h == -np.inf) | (k == -np.inf), 0.0, core)
-    return core
+    if finite:
+        return core
+    # Infinite-argument limits, by index: Phi(k) at h = inf, 0 at -inf.
+    out, (h, k) = np.asarray(core).reshape(-1), hk.reshape(2, -1)
+    for at, other in ((k == np.inf, h), (h == np.inf, k)):
+        out[at] = ndtr(other[at])
+    out[(h == -np.inf) | (k == -np.inf)] = 0.0
+    return out.reshape(hk.shape[1:])

@@ -42,6 +42,13 @@ def _require(config, key, context="config"):
     return config[key]
 
 
+def _integer(config, key, override=None):
+    value = _require(config, key) if override is None else override
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -57,10 +64,10 @@ def _load_config(path):
 
 def _design_from_config(config):
     return TrialDesign(
-        k=int(_require(config, "k")),
+        k=_integer(config, "k"),
         p=tuple(_require(config, "p")),
-        n1=int(_require(config, "n1")),
-        n2=int(_require(config, "n2")),
+        n1=_integer(config, "n1"),
+        n2=_integer(config, "n2"),
         sigma=float(_require(config, "sigma")),
         alpha=float(config.get("alpha", 0.05)),
     )
@@ -70,11 +77,13 @@ def _rule_from_config(config, co_primary_flag):
     rule = _require(config, "rule")
     if not isinstance(rule, dict):
         raise ConfigurationError("rule must be an object with type and threshold")
-    co_primary = bool(config.get("co_primary", False)) or co_primary_flag
+    co_primary = config.get("co_primary", False)
+    if not isinstance(co_primary, bool):
+        raise ConfigurationError(f"co_primary must be a boolean: {co_primary!r}")
     return DecisionRule(
         variant=str(_require(rule, "type", "rule")),
         threshold=float(_require(rule, "threshold", "rule")),
-        co_primary=co_primary,
+        co_primary=co_primary or co_primary_flag,
     )
 
 
@@ -163,15 +172,12 @@ def cmd_simulate(args):
     design = _design_from_config(config)
     rule = _rule_from_config(config, args.co_primary)
     methods = _methods_from(config, args)
-    replicates = (args.replicates if args.replicates is not None
-                  else int(_require(config, "replicates")))
-    seed = args.seed if args.seed is not None else int(_require(config, "seed"))
     scenario = Scenario(
         design=design,
         rule=rule,
         true_deltas=tuple(_require(config, "deltas")),
-        replicates=replicates,
-        seed=int(seed),
+        replicates=_integer(config, "replicates", args.replicates),
+        seed=_integer(config, "seed", args.seed),
         methods=methods,
     )
     result = run_scenario(scenario)

@@ -103,6 +103,23 @@ class TestCmdCi:
         assert code == 2
         assert f"{key} has {len(values)} entries" in err
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_co_primary_must_be_a_json_boolean(self, tmp_path, capsys, value):
+        # bool("false") is True: a string would turn co-primary targets on.
+        cfg = write_config(tmp_path, dict(CI_CONFIG, co_primary=value))
+        code, lines, err = run(["ci", "--config", cfg], capsys)
+        assert code == 2
+        assert lines == []
+        assert f"co_primary must be a boolean: {value!r}" in err
+
+    def test_co_primary_false_has_no_subpopulation_targets(self, tmp_path,
+                                                          capsys):
+        cfg = write_config(tmp_path, dict(CI_CONFIG, co_primary=False))
+        code, lines, _ = run(["ci", "--config", cfg], capsys)
+        assert code == 0
+        assert lines[0] == "decision,full"
+        assert {row.split(",")[0] for row in lines[2:]} == {"full"}
+
     def test_co_primary_rejected_for_kimani_rules(self, tmp_path, capsys):
         for variant in ("kimani2015", "kimani2018"):
             payload = dict(CI_CONFIG, rule={"type": variant, "threshold": 0.02})
@@ -205,6 +222,28 @@ class TestCmdSimulate:
         assert code == 2
         assert lines == []
         assert "replicates must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("n1", 244.9), ("n2", True), ("k", 2.5), ("replicates", 50.7),
+        ("seed", 3.9), ("seed", False), ("replicates", float("inf"))])
+    def test_fractional_or_bool_count_is_config_error(self, tmp_path, capsys,
+                                                       key, value):
+        # int() would truncate these and run a different scenario.
+        cfg = write_config(tmp_path, dict(SIM_CONFIG, **{key: value}))
+        code, lines, err = run(["simulate", "--config", cfg], capsys)
+        assert code == 2
+        assert lines == []
+        assert f"{key} must be an integer, got {value!r}" in err
+
+    def test_whole_float_count_is_an_integer(self, tmp_path, capsys):
+        outputs = []
+        for payload in (dict(SIM_CONFIG, replicates=50),
+                        dict(SIM_CONFIG, replicates=50.0, n1=244.0, seed=7.0)):
+            cfg = write_config(tmp_path, payload)
+            code, lines, _ = run(["simulate", "--config", cfg], capsys)
+            assert code == 0
+            outputs.append(lines)
+        assert outputs[0] == outputs[1]
 
     def test_umau_coverage_within_band(self, tmp_path, capsys):
         # Scenario 3 fast tier: every umau coverage lies in the binomial

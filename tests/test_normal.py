@@ -101,6 +101,72 @@ class TestOneOwensTCall:
         assert calls == [shape]
 
 
+class TestMixedLaw:
+    """A law that stacks one-sided, two-sided, untruncated and deep elements
+    takes Owen's T only where the closed form uses it: two terms per point
+    and finite bound of a closed-form element, none for a deep element. Its
+    CDF and partial moments are, bit for bit, those of one law per element,
+    and a law whose elements all use every finite bound is not mixed."""
+
+    # Per element (sigma1 = 1, delta = 0): lower-only, upper-only,
+    # two-sided, untruncated, then deep one- and two-sided.
+    LOWER = np.array([0.5, -np.inf, -0.3, -np.inf, 4.5, 5.0])
+    UPPER = np.array([np.inf, 0.4, 0.9, np.inf, np.inf, 5.5])
+    SIGMA2 = np.array([0.5, 1.0, 2.0, 1.0, 1.3, 0.7])
+    # Finite bounds of the closed-form elements.
+    USED = 4
+    X = np.array([[-0.4, -0.9, 0.1, -1.0, 4.6, 5.1],
+                  [0.2, -0.2, 0.4, 0.3, 4.9, 5.2],
+                  [0.9, 0.1, 0.6, 0.7, 5.3, 5.4]])
+
+    @pytest.fixture
+    def elements(self, monkeypatch):
+        elements, owens_t = [], _normal.owens_t
+
+        def counted(x, a):
+            elements.append(np.size(x))
+            return owens_t(x, a)
+
+        monkeypatch.setattr(_normal, "owens_t", counted)
+        return elements
+
+    def law(self, j=slice(None)):
+        return CondLaw(0.0, 1.0, self.SIGMA2[j], self.LOWER[j], self.UPPER[j])
+
+    def test_deep_mask(self):
+        assert self.law().deep.tolist() == [False] * 4 + [True] * 2
+
+    def test_owens_t_elements(self, elements):
+        law = self.law()
+        assert law.mixed
+        law.cdf(self.X)
+        assert elements == [2 * self.USED * len(self.X)]
+        law.cdf(self.X[0])
+        assert elements[1:] == [2 * self.USED]
+
+    def test_no_owens_t_for_an_all_deep_law(self, elements):
+        self.law(slice(4, None)).cdf(self.X[:, 4:])
+        assert sum(elements) == 0
+
+    def test_not_mixed(self):
+        # One element, or elements sharing which bounds are finite.
+        assert not any(self.law(j).mixed for j in range(4))
+        assert not CondLaw(0.0, 1.0, self.SIGMA2[:3], self.LOWER[2],
+                           self.UPPER[2] + np.arange(3.0)).mixed
+
+    def test_bit_identical_to_one_law_per_element(self):
+        law = self.law()
+        a, b = self.X[0], self.X[2]
+        cdf = law.cdf(self.X)
+        moments = law.partial_moments(a, b, order=2)
+        for j in range(self.X.shape[1]):
+            one = self.law(slice(j, j + 1))
+            assert np.array_equal(cdf[:, j], one.cdf(self.X[:, j:j + 1])[:, 0])
+            for got, want in zip(moments, one.partial_moments(
+                    a[j:j + 1], b[j:j + 1], order=2)):
+                assert np.array_equal(got[j:j + 1], want)
+
+
 class TestNonFiniteArguments:
     """The normal density is 0 and its log -inf at +/-inf, by IEEE
     arithmetic and without a warning; a NaN stays NaN."""
