@@ -18,15 +18,12 @@ Public surface:
 from .condnorm import ConditionalNormal, NumericalError
 from .designs import (
     ConfigurationError,
+    DecisionRule,
     InterimDecision,
     Stage1Summary,
     Stage2Summary,
     TrialDesign,
     TruncationTarget,
-    apply_d1,
-    apply_d2,
-    apply_kimani2015,
-    apply_kimani2018,
     confidence_intervals,
     pooled_estimate,
 )
@@ -39,7 +36,6 @@ from .intervals import (
     umau_ci,
 )
 from .sim import (
-    DecisionRule,
     MethodStats,
     Scenario,
     SimResult,
@@ -66,10 +62,6 @@ __all__ = [
     "Stage2Summary",
     "TrialDesign",
     "TruncationTarget",
-    "apply_d1",
-    "apply_d2",
-    "apply_kimani2015",
-    "apply_kimani2018",
     "confidence_intervals",
     "ctost_ci",
     "draw_stage1",

@@ -9,9 +9,8 @@ term is Phi or 0), and F and the partial moments of the other elements are
 a quadrature over the stage 1 variable. ``CondLaw`` evaluates the law once
 per set of per-element parameters (each element has its own ``sigma1``,
 ``sigma2``, ``lower`` and ``upper``): a solver iteration builds one and
-reads F, f, partial moments, mean and variance from it, and ``cond_cdf``
-and its siblings are one-quantity calls of it. Quantiles and the tost
-endpoints in ``batch`` are ``probit_newton`` roots: Newton on the probit
+reads F, f, partial moments, mean and variance from it. Quantiles and the
+tost endpoints in ``batch`` are ``probit_newton`` roots: Newton on the probit
 scale of a monotone CDF, safeguarded by a bracket.
 """
 
@@ -89,7 +88,7 @@ def _deep_partial_moment(x, delta, sigma1, sigma2, a1, b1):
     sign = np.where(flip, -1.0, 1.0)
     lo, hi = np.where(flip, -b1, a1), np.where(flip, -a1, b1)
     v_star, reach = sign * (x - delta) / c, _STEP_REACH / k
-    v_at = np.where(np.isfinite(v_star), v_star, lo - reach)  # x = +/-inf
+    v_at = np.where(np.isinf(v_star), lo - reach, v_star)  # x = +/-inf
     den = _mills(lo) - np.exp(-0.5 * (hi - lo) * (hi + lo)) * _mills(hi)
     # Where z >= 8 (V in (p, q)) the law given V lies below x.
     p_q = np.minimum(np.maximum(np.stack([v_star + reach, v_star - reach]),
@@ -231,8 +230,11 @@ class CondLaw:
         # One bvn_cdf call on the finite bounds of closed-form elements; an
         # infinite bound's term is Phi(zx) or 0. Deep ones may overflow here.
         if self.mixed:
-            zx_b, *k, rho = np.broadcast_arrays(zx, self.b1, self.a1, self.rho)
-            k = np.stack(k)
+            # Rows zx, b1, a1, rho (broadcast_arrays costs more on small laws).
+            rows = np.empty((4, *np.broadcast(
+                zx, self.b1, self.a1, self.rho).shape))
+            rows[0], rows[1], rows[2], rows[3] = zx, self.b1, self.a1, self.rho
+            zx_b, k, rho = rows[0], rows[1:3], rows[3]
             use = np.isfinite(k) & ~self.deep
             at = np.nonzero(use)
             below = np.zeros(k.shape)
@@ -326,28 +328,6 @@ class CondLaw:
             for j, out in enumerate(outs, 1):
                 out.reshape(-1)[at] = rows[j]
         return outs
-
-
-def cond_logpdf(x, delta, sigma1, sigma2, lower, upper):
-    return CondLaw(delta, sigma1, sigma2, lower, upper).logpdf(x)
-
-
-def cond_pdf(x, delta, sigma1, sigma2, lower, upper):
-    return CondLaw(delta, sigma1, sigma2, lower, upper).pdf(x)
-
-
-def cond_cdf(x, delta, sigma1, sigma2, lower, upper):
-    return CondLaw(delta, sigma1, sigma2, lower, upper).cdf(x)
-
-
-def cond_mean(delta, sigma1, sigma2, lower, upper):
-    return CondLaw(delta, sigma1, sigma2, lower, upper).mean
-
-
-def cond_partial_moment(a, b, delta, sigma1, sigma2, lower, upper,
-                        cdf_a=None, cdf_b=None, order=1):
-    law = CondLaw(delta, sigma1, sigma2, lower, upper)
-    return law.partial_moments(a, b, cdf_a, cdf_b, order)[-1]
 
 
 def flat_broadcast(*arrays):

@@ -52,7 +52,7 @@ def bvn_cdf(h, k, rho):
 
     Owen (1956) tetrachoric reduction through Owen's T function. ``rho``
     broadcasts with h and k and must lie strictly inside (-1, 1); h and k
-    may be +/-inf.
+    may be +/-inf, and a NaN h or k gives NaN.
     """
     rho = np.asarray(rho, dtype=float)
     inside = np.abs(rho) < 1.0
@@ -86,9 +86,11 @@ def bvn_cdf(h, k, rho):
     core = np.minimum(np.maximum(core, 0.0), 1.0)
     if finite:
         return core
-    # Infinite-argument limits, by index: Phi(k) at h = inf, 0 at -inf.
+    # Infinite-argument limits, by index: Phi(k) at h = inf, 0 at -inf;
+    # NaN at a NaN argument.
     out, (h, k) = np.asarray(core).reshape(-1), hk.reshape(2, -1)
     for at, other in ((k == np.inf, h), (h == np.inf, k)):
         out[at] = ndtr(other[at])
     out[(h == -np.inf) | (k == -np.inf)] = 0.0
+    out[np.isnan(h) | np.isnan(k)] = np.nan
     return out.reshape(hk.shape[1:])

@@ -19,6 +19,7 @@ from .condnorm import NumericalError
 from .designs import (
     METHODS,
     ConfigurationError,
+    DecisionRule,
     Stage1Summary,
     Stage2Summary,
     TrialDesign,
@@ -26,7 +27,7 @@ from .designs import (
     confidence_intervals,
     pooled_estimate,
 )
-from .sim import DecisionRule, Scenario, run_scenario
+from .sim import Scenario, run_scenario
 
 _SIM_HEADER = "branch,proportion,method,coverage,mean_width,width_ratio,mc_halfwidth"
 _CI_HEADER = "target,method,lower,upper"

@@ -2,13 +2,15 @@
 
 ``ConditionalNormal`` models the precision-weighted pool of two Gaussian
 estimates of a common effect, conditioned on the stage 1 estimate falling
-in an interval. Density, CDF, quantile, mean and truncated first moments
-are size-1 calls of the array kernels in ``_kernels``.
+in an interval. Density, CDF, mean and truncated first moments are calls
+of one size-1 ``_kernels.CondLaw``, built on first use; the quantile is a
+size-1 ``_kernels.cond_quantile`` solve.
 """
 
 import math
 from copy import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import _kernels
 from ._normal import log_norm_prob_range
@@ -40,8 +42,6 @@ class ConditionalNormal:
     lower: float = -math.inf
     upper: float = math.inf
 
-    tau1: float = field(init=False, repr=False)
-    tau2: float = field(init=False, repr=False)
     sigma12: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -67,8 +67,6 @@ class ConditionalNormal:
                 f"(log prob {log_p:.1f}); the conditioning event has numerical "
                 "measure zero"
             )
-        object.__setattr__(self, "tau1", 1.0 / self.sigma1**2)
-        object.__setattr__(self, "tau2", 1.0 / self.sigma2**2)
         object.__setattr__(
             self, "sigma12", _kernels.pooled_sd(self.sigma1, self.sigma2)
         )
@@ -86,10 +84,13 @@ class ConditionalNormal:
         if not math.isfinite(delta := float(delta)):
             raise ValueError(f"delta must be finite, got {delta}")
         object.__setattr__(moved := copy(self), "delta", delta)
+        moved.__dict__.pop("_law", None)  # the law at the old delta
         return moved
 
-    def _args(self):
-        return (self.delta, self.sigma1, self.sigma2, self.lower, self.upper)
+    @cached_property
+    def _law(self):
+        return _kernels.CondLaw(self.delta, self.sigma1, self.sigma2,
+                                self.lower, self.upper)
 
     # -- density --------------------------------------------------------
 
@@ -97,13 +98,13 @@ class ConditionalNormal:
         x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"x must be finite, got {x}")
-        return float(_kernels.cond_pdf(x, *self._args()))
+        return float(self._law.pdf(x))
 
     def logpdf(self, x):
         x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"x must be finite, got {x}")
-        return float(_kernels.cond_logpdf(x, *self._args()))
+        return float(self._law.logpdf(x))
 
     # -- CDF and quantile -----------------------------------------------
 
@@ -111,13 +112,14 @@ class ConditionalNormal:
         x = float(x)
         if math.isnan(x):
             raise ValueError("x must not be NaN")
-        return float(_kernels.cond_cdf(x, *self._args()))
+        return float(self._law.cdf(x))
 
     def quantile(self, q):
         q = float(q)
         if not 0.0 < q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {q}")
-        x = float(_kernels.cond_quantile(q, *self._args()))
+        x = float(_kernels.cond_quantile(q, self.delta, self.sigma1,
+                                         self.sigma2, self.lower, self.upper))
         if math.isnan(x):
             raise NumericalError(f"quantile {q} did not converge for {self}")
         return x
@@ -125,7 +127,7 @@ class ConditionalNormal:
     # -- moments --------------------------------------------------------
 
     def mean(self):
-        return float(_kernels.cond_mean(*self._args()))
+        return float(self._law.mean)
 
     def partial_moment(self, a, b):
         """Integral of t * pdf(t) over (a, b); extended reals allowed."""
@@ -136,4 +138,4 @@ class ConditionalNormal:
             raise ValueError(f"need a <= b, got a={a}, b={b}")
         if a == b:
             return 0.0
-        return float(_kernels.cond_partial_moment(a, b, *self._args()))
+        return float(self._law.partial_moments(a, b)[0])

@@ -397,28 +397,46 @@ def batch_kimani2018(design, means, delta_star):
     return BatchDecision(branch, tuple(outcomes))
 
 
-def apply_d1(design, s1, z_star, co_primary=False):
-    """``batch_d1`` for one stage 1 summary."""
-    means = np.array([s1.means])
-    return batch_d1(design, means, z_star, co_primary).decision(0)
+_RULES = {"d1": batch_d1, "d2": batch_d2, "kimani2015": batch_kimani2015,
+          "kimani2018": batch_kimani2018}
 
 
-def apply_d2(design, s1, delta_star, co_primary=False):
-    """``batch_d2`` for one stage 1 summary."""
-    means = np.array([s1.means])
-    return batch_d2(design, means, delta_star, co_primary).decision(0)
+@dataclass(frozen=True)
+class DecisionRule:
+    """Interim rule variant plus its threshold.
 
+    ``co_primary`` adds per-subpopulation targets under full-population
+    continuation; only the Z- and mean-threshold rules (d1, d2) define them.
+    """
 
-def apply_kimani2015(design, s1, delta_star):
-    """``batch_kimani2015`` for one stage 1 summary."""
-    means = np.array([s1.means])
-    return batch_kimani2015(design, means, delta_star).decision(0)
+    variant: str
+    threshold: float
+    co_primary: bool = False
 
+    def __post_init__(self):
+        if self.variant not in _RULES:
+            raise ConfigurationError(
+                f"rule variant must be one of {tuple(_RULES)}, "
+                f"got {self.variant!r}"
+            )
+        if not math.isfinite(self.threshold):
+            raise ConfigurationError(
+                f"rule threshold must be finite, got {self.threshold}"
+            )
+        if self.co_primary and self.variant not in ("d1", "d2"):
+            raise ConfigurationError(
+                f"co_primary targets are defined for d1 and d2 only, "
+                f"not {self.variant!r}"
+            )
 
-def apply_kimani2018(design, s1, delta_star):
-    """``batch_kimani2018`` for one stage 1 summary."""
-    means = np.array([s1.means])
-    return batch_kimani2018(design, means, delta_star).decision(0)
+    def decide_batch(self, design, means):
+        """BatchDecision for an (N, k) matrix of stage 1 means."""
+        co_primary = (self.co_primary,) if self.variant in ("d1", "d2") else ()
+        return _RULES[self.variant](design, means, self.threshold, *co_primary)
+
+    def decide(self, design, s1):
+        """InterimDecision for one stage 1 summary."""
+        return self.decide_batch(design, np.array([s1.means])).decision(0)
 
 
 def pooled_estimate(design, decision, s1, s2, target):

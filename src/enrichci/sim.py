@@ -21,60 +21,13 @@ from .condnorm import NumericalError
 from .designs import (
     METHODS,
     ConfigurationError,
+    DecisionRule,
     Stage1Summary,
     Stage2Summary,
-    batch_d1,
-    batch_d2,
-    batch_kimani2015,
-    batch_kimani2018,
     check_methods,
 )
 
-_VARIANTS = ("d1", "d2", "kimani2015", "kimani2018")
-
 _CHUNK = 4000
-
-
-@dataclass(frozen=True)
-class DecisionRule:
-    """Interim rule variant plus its threshold.
-
-    ``co_primary`` adds per-subpopulation targets under full-population
-    continuation; only the Z- and mean-threshold rules (d1, d2) define them.
-    """
-
-    variant: str
-    threshold: float
-    co_primary: bool = False
-
-    def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ConfigurationError(
-                f"rule variant must be one of {_VARIANTS}, got {self.variant!r}"
-            )
-        if not math.isfinite(self.threshold):
-            raise ConfigurationError(
-                f"rule threshold must be finite, got {self.threshold}"
-            )
-        if self.co_primary and self.variant not in ("d1", "d2"):
-            raise ConfigurationError(
-                f"co_primary targets are defined for d1 and d2 only, "
-                f"not {self.variant!r}"
-            )
-
-    def decide_batch(self, design, means):
-        """BatchDecision for an (N, k) matrix of stage 1 means."""
-        if self.variant == "d1":
-            return batch_d1(design, means, self.threshold, self.co_primary)
-        if self.variant == "d2":
-            return batch_d2(design, means, self.threshold, self.co_primary)
-        if self.variant == "kimani2015":
-            return batch_kimani2015(design, means, self.threshold)
-        return batch_kimani2018(design, means, self.threshold)
-
-    def decide(self, design, s1):
-        """InterimDecision for one stage 1 summary."""
-        return self.decide_batch(design, np.array([s1.means])).decision(0)
 
 
 @dataclass(frozen=True)

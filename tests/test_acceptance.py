@@ -30,7 +30,6 @@ from enrichci import (
     Stage1Summary,
     Stage2Summary,
     TrialDesign,
-    apply_d2,
     confidence_intervals,
     ctost_ci,
     naive_ci,
@@ -100,7 +99,8 @@ class TestWorkedExample:
         s1 = Stage1Summary((0.113, 0.013))
         s2 = Stage2Summary(0.045, sub_means=(0.155, -0.064))
         start = time.perf_counter()
-        decision = apply_d2(design, s1, 0.025, co_primary=True)
+        decision = DecisionRule("d2", 0.025, co_primary=True).decide(
+            design, s1)
         cis = confidence_intervals(
             design, decision, s1, s2, ("naive", "umau", "tost")
         )
@@ -303,7 +303,8 @@ class TestPropertySuite:
             d1 = rng.normal(m.delta, m.sigma1, size=4 * n)
             d1 = d1[(d1 > m.lower) & (d1 < m.upper)]
             d2 = rng.normal(m.delta, m.sigma2, size=d1.size)
-            pool = (m.tau1 * d1 + m.tau2 * d2) / (m.tau1 + m.tau2)
+            t1, t2 = 1.0 / m.sigma1**2, 1.0 / m.sigma2**2
+            pool = (t1 * d1 + t2 * d2) / (t1 + t2)
             draws = np.concatenate([draws, pool])
         draws = draws[:n]
         seeds = batch_ctost_ci(draws, 0.05, m.sigma1, m.sigma2, m.lower, m.upper)
@@ -318,8 +319,7 @@ class TestPropertySuite:
             assert abs(cov - 0.95) <= band, cov
 
     def test_decision_partition_and_form_equivalence(self):
-        from enrichci import apply_d1
-
+        d1_rule, d2_rule = DecisionRule("d1", 1.0), DecisionRule("d2", 1.0)
         rng = np.random.default_rng(104)
         n = 100_000
         se = np.array([SIM_DESIGN.stage1_se((m,)) for m in (1, 2)])
@@ -339,7 +339,7 @@ class TestPropertySuite:
         # threshold forms, and the realized statistic obeys its bounds.
         for row in draws[:2000]:
             s1 = Stage1Summary(tuple(row))
-            d2 = apply_d2(SIM_DESIGN, s1, 1.0)
+            d2 = d2_rule.decide(SIM_DESIGN, s1)
             pooled_v = 0.5 * (row[0] + row[1])
             if pooled_v > 1.0:
                 expect = (1, 2)
@@ -351,7 +351,7 @@ class TestPropertySuite:
             if d2.selected:
                 t = d2.targets[0]
                 assert t.lower <= t.stage1_value(SIM_DESIGN, s1) <= t.upper
-            d1 = apply_d1(SIM_DESIGN, s1, 1.0)
+            d1 = d1_rule.decide(SIM_DESIGN, s1)
             z = row / se
             if pooled_v / SIM_DESIGN.stage1_se((1, 2)) > 1.0:
                 expect = (1, 2)

@@ -30,9 +30,7 @@ from enrichci import (
 )
 from enrichci import _kernels, batch
 from enrichci._kernels import (
-    cond_cdf,
-    cond_mean,
-    cond_partial_moment,
+    CondLaw,
     cond_quantile,
     flat_broadcast,
     pooled_sd,
@@ -97,8 +95,8 @@ def reference_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper):
     observed, lower, upper = (np.tile(a, 2) for a in (observed, lower, upper))
 
     def excess(delta, i):
-        cdf = cond_cdf(observed[i], delta, sigma1, sigma2, lower[i], upper[i])
-        return cdf - q[i]
+        law = CondLaw(delta, sigma1, sigma2, lower[i], upper[i])
+        return law.cdf(observed[i]) - q[i]
 
     root, ok = monotone_root(
         excess, observed - 10.0 * sigma12, observed + 10.0 * sigma12,
@@ -379,16 +377,17 @@ def _umau_equation_error(geom, observed, est, alpha, quadrature=False):
     span = 40.0 * geom.sigma12
     for delta, side in ((est.lower, "lower"), (est.upper, "upper")):
         law = geom.at(delta) if quadrature else None
+        kernel = CondLaw(delta, *args)
 
         def cdf(t):
             if quadrature:
                 return quad_cdf(law, t)
-            return float(cond_cdf(t, delta, *args))
+            return float(kernel.cdf(t))
 
         def moment(a, b):
             if quadrature:
                 return quad_partial_moment(law, a, b)
-            return float(cond_partial_moment(a, b, delta, *args))
+            return float(kernel.partial_moments(a, b)[0])
 
         f_obs = cdf(observed)
         if side == "lower" and f_obs > beta:
@@ -401,7 +400,7 @@ def _umau_equation_error(geom, observed, est, alpha, quadrature=False):
             a, b = observed, cut
         else:
             return f"no acceptance region at the {side} endpoint"
-        mean = float(cond_mean(delta, *args))
+        mean = float(kernel.mean)
         resid = moment(a, b) - beta * mean
         if not abs(resid) <= 1e-6 * (geom.sigma12 + abs(mean)):
             return f"moment residual {resid:.3e} at the {side} endpoint"
@@ -583,7 +582,8 @@ class TestProbitNewton:
     @pytest.mark.parametrize("s1,s2,lo,up", ROOT_GEOMETRIES)
     def test_quantile_meets_its_probability(self, s1, s2, lo, up):
         x = cond_quantile(self.Q, 0.0, s1, s2, lo, up)
-        assert np.max(np.abs(cond_cdf(x, 0.0, s1, s2, lo, up) - self.Q)) <= 1e-13
+        law = CondLaw(0.0, s1, s2, lo, up)
+        assert np.max(np.abs(law.cdf(x) - self.Q)) <= 1e-13
 
     @pytest.mark.parametrize("s1,s2,lo,up", ROOT_GEOMETRIES)
     def test_tost_matches_chandrupatla_reference(self, s1, s2, lo, up):
@@ -608,10 +608,11 @@ class TestProbitNewtonSafeguards:
         # does not round away.
         q = np.array([1e-3, 0.9999])
         args = (0.0, 0.2, 1.0, 2.0, np.inf)
-        start = cond_mean(*args) + ndtri(q) * pooled_sd(0.2, 1.0)
-        assert cond_cdf(start[1], *args) == 1.0
+        law = CondLaw(*args)
+        start = law.mean + ndtri(q) * pooled_sd(0.2, 1.0)
+        assert law.cdf(start[1]) == 1.0
         x = cond_quantile(q, *args)
-        assert np.max(np.abs(cond_cdf(x, *args) - q)) <= 1e-13
+        assert np.max(np.abs(law.cdf(x) - q)) <= 1e-13
 
     def test_wrong_sign_slope_bisects(self):
         # Near F = 1 the slope M(-inf, x) - F mu cancels and flips sign;
@@ -631,7 +632,8 @@ class TestProbitNewtonSafeguards:
         # accepting it repeats the same two points forever.
         q = np.array([1e-3, 0.999])
         x = cond_quantile(q, 0.0, 0.05, 1.0, -0.025, 0.025)
-        assert np.max(np.abs(cond_cdf(x, 0.0, 0.05, 1.0, -0.025, 0.025) - q)) <= 1e-13
+        law = CondLaw(0.0, 0.05, 1.0, -0.025, 0.025)
+        assert np.max(np.abs(law.cdf(x) - q)) <= 1e-13
 
     @pytest.mark.parametrize("q,delta,s1,s2,lower,upper", [
         (1e-06, 1.2894953101722817, 1.5439661866619299, 0.8506441749900506,
@@ -648,7 +650,7 @@ class TestProbitNewtonSafeguards:
         args = (delta, s1, s2, lower, upper)
         x = cond_quantile(q, *args)
         assert np.isfinite(x)
-        assert abs(cond_cdf(x, *args) - q) <= 1e-11
+        assert abs(CondLaw(*args).cdf(x) - q) <= 1e-11
 
     def test_convergence_needs_a_small_residual(self):
         # A misreported slope makes the first Newton step tiny and the

@@ -21,7 +21,7 @@ from scipy.stats import norm
 
 import enrichci
 from enrichci import ConditionalNormal, NumericalError, _kernels
-from enrichci._kernels import cond_cdf, cond_partial_moment, pooled_sd
+from enrichci._kernels import CondLaw, pooled_sd
 from enrichci._normal import bvn_cdf, norm_prob_range
 
 from oracle import brentq_quantile, quad_cdf, quad_partial_moment
@@ -69,9 +69,8 @@ def random_model(rng, truncated=True):
 class TestConstruction:
     def test_derived_quantities(self):
         m = ConditionalNormal(0.5, 0.8, 1.2, lower=0.2, upper=1.0)
-        assert m.tau1 == pytest.approx(1 / 0.64)
-        assert m.tau2 == pytest.approx(1 / 1.44)
-        assert m.sigma12**2 == pytest.approx(1 / (m.tau1 + m.tau2), rel=1e-15)
+        assert m.sigma12**2 == pytest.approx(1 / (1 / 0.64 + 1 / 1.44),
+                                             rel=1e-15)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -97,6 +96,29 @@ class TestConstruction:
         m2 = m.at(1.5)
         assert m2.delta == 1.5
         assert (m2.sigma1, m2.sigma2, m2.lower, m2.upper) == (1.0, 1.0, 0.0, math.inf)
+
+    @pytest.mark.parametrize("d0,d,lower,upper", [
+        (0.0, 0.7, 0.2, math.inf),
+        (-0.3, 0.4, -0.5, 1.0),
+        (3.0, 0.0, 4.5, math.inf),  # deep at d: quadrature over stage 1
+    ], ids=["one-sided", "two-sided", "deep"])
+    def test_at_equals_a_fresh_law(self, d0, d, lower, upper):
+        # The law at d0 is built and used before the move; the moved copy
+        # must not read it.
+        def values(m):
+            x = m.mean() + np.array([-1.0, 0.0, 0.5, 2.0]) * m.sigma12
+            return ([m.mean()] + [m.cdf(v) for v in x] + [m.pdf(v) for v in x]
+                    + [m.logpdf(v) for v in x]
+                    + [m.partial_moment(x[0], x[2]),
+                       m.partial_moment(-math.inf, x[3])]
+                    + [m.quantile(q) for q in (0.025, 0.5, 0.975)])
+
+        before = ConditionalNormal(d0, 0.8, 1.3, lower=lower, upper=upper)
+        values(before)
+        moved = before.at(d)
+        assert moved == ConditionalNormal(d, 0.8, 1.3, lower=lower, upper=upper)
+        assert values(moved) == values(
+            ConditionalNormal(d, 0.8, 1.3, lower=lower, upper=upper))
 
 
 class TestPdf:
@@ -313,8 +335,8 @@ class TestSecondPartialMoment:
     ])
     def test_closed_form(self, delta, s1, s2, lower, upper, a, b):
         m = ConditionalNormal(delta, s1, s2, lower=lower, upper=upper)
-        got = float(cond_partial_moment(a, b, delta, s1, s2, lower, upper,
-                                        order=2))
+        law = CondLaw(delta, s1, s2, lower, upper)
+        got = float(law.partial_moments(a, b, order=2)[-1])
         assert got == pytest.approx(self._quad(m, a, b), abs=1e-10)
 
     @pytest.mark.parametrize("lower,upper,a,b", [
@@ -326,8 +348,8 @@ class TestSecondPartialMoment:
     def test_deep_tail(self, lower, upper, a, b):
         # Selection probability below 1e-4: the quadrature branch.
         m = ConditionalNormal(0.0, 1.0, 1.0, lower=lower, upper=upper)
-        got = float(cond_partial_moment(a, b, 0.0, 1.0, 1.0, lower, upper,
-                                        order=2))
+        law = CondLaw(0.0, 1.0, 1.0, lower, upper)
+        got = float(law.partial_moments(a, b, order=2)[-1])
         assert got == pytest.approx(self._quad(m, a, b), abs=1e-10)
 
 
@@ -359,7 +381,7 @@ class TestConditionalVariance:
         delta *= pooled_sd(s1, s2)
         m = ConditionalNormal(delta, s1, s2, lower=delta + lo * s1,
                               upper=delta + hi * s1)
-        got = float(_kernels.CondLaw(*m._args()).var)
+        got = float(CondLaw(*_args(m)).var)
         assert got == pytest.approx(self._quad(m), rel=0,
                                     abs=1e-10 * m.sigma12**2)
 
@@ -367,7 +389,7 @@ class TestConditionalVariance:
     def test_untruncated_is_pooled_variance(self, s1, s2):
         # Both bounds infinite: no inf - inf, so no RuntimeWarning (an
         # error in this suite).
-        law = _kernels.CondLaw(0.0, s1, s2, -math.inf, math.inf)
+        law = CondLaw(0.0, s1, s2, -math.inf, math.inf)
         assert float(law.var) == pytest.approx(pooled_sd(s1, s2)**2,
                                                rel=1e-15)
 
@@ -388,7 +410,7 @@ def _cdf_both_bivariate_terms(x, delta, s1, s2, lower, upper):
 
 
 class TestInfiniteBoundShortcut:
-    """cond_cdf skips the bivariate term of a bound that is infinite for
+    """CondLaw.cdf skips the bivariate term of a bound that is infinite for
     every element; the result must not change in any bit."""
 
     X = np.concatenate([np.linspace(-7.0, 7.0, 281), [-np.inf, np.inf]])
@@ -404,7 +426,7 @@ class TestInfiniteBoundShortcut:
         x = self.X[:, None] if np.ndim(lower) else self.X
         for s1, s2, delta in ((1.0, 1.0, 0.0), (0.8, 1.3, 0.2),
                               (3.0, 0.5, -0.4)):
-            got = cond_cdf(x, delta, s1, s2, lower, upper)
+            got = CondLaw(delta, s1, s2, lower, upper).cdf(x)
             ref = _cdf_both_bivariate_terms(x, delta, s1, s2, lower, upper)
             assert np.array_equal(got, ref)
 
@@ -417,9 +439,8 @@ class TestSubnormalBound:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert bvn_cdf(0.3, 2.2250738585e-313, 0.7) == bvn_cdf(0.3, 0.0, 0.7)
-            assert cond_cdf(0.3, 0.0, 1.0, 1.0, 1e-310, math.inf) == cond_cdf(
-                0.3, 0.0, 1.0, 1.0, 0.0, math.inf
-            )
+            assert CondLaw(0.0, 1.0, 1.0, 1e-310, math.inf).cdf(0.3) == (
+                CondLaw(0.0, 1.0, 1.0, 0.0, math.inf).cdf(0.3))
 
 
 class TestImports:

@@ -20,10 +20,6 @@ from enrichci import (
     Stage1Summary,
     Stage2Summary,
     TrialDesign,
-    apply_d1,
-    apply_d2,
-    apply_kimani2015,
-    apply_kimani2018,
     confidence_intervals,
     ctost_ci,
     pooled_estimate,
@@ -39,6 +35,10 @@ from enrichci.designs import (
 
 SIM_DESIGN = TrialDesign(k=2, p=(0.5, 0.5), n1=244, n2=244, sigma=8.0)
 EXAMPLE_DESIGN = TrialDesign(k=2, p=(0.5, 0.5), n1=200, n2=100, sigma=0.36)
+SIM_D1 = DecisionRule("d1", 1.0)
+SIM_D2 = DecisionRule("d2", 1.0)
+EXAMPLE_RULE = DecisionRule("d2", 0.025)
+EXAMPLE_RULE_CP = DecisionRule("d2", 0.025, co_primary=True)
 
 
 class TestTrialDesign:
@@ -68,7 +68,7 @@ class TestTrialDesign:
 class TestZThresholdRule:
     def test_enrich_to_first_subpopulation(self):
         s1 = Stage1Summary((2.0, 0.0))
-        dec = apply_d1(SIM_DESIGN, s1, z_star=1.0)
+        dec = SIM_D1.decide(SIM_DESIGN, s1)
         assert dec.selected == (1,)
         (t,) = dec.targets
         assert t.lower == pytest.approx(0.0, abs=1e-12)
@@ -77,45 +77,44 @@ class TestZThresholdRule:
     def test_full_population_continuation(self):
         # Pooled mean 1.5 gives a pooled Z above the threshold.
         s1 = Stage1Summary((1.5, 1.5))
-        dec = apply_d1(SIM_DESIGN, s1, z_star=1.0)
+        dec = SIM_D1.decide(SIM_DESIGN, s1)
         assert dec.selected == (1, 2)
         (t,) = dec.targets
         assert t.lower == pytest.approx(16 / math.sqrt(244), abs=1e-12)
         assert t.upper == math.inf
 
     def test_tie_selects_first(self):
-        dec = apply_d1(SIM_DESIGN, Stage1Summary((0.0, 0.0)), z_star=1.0)
+        dec = SIM_D1.decide(SIM_DESIGN, Stage1Summary((0.0, 0.0)))
         assert dec.selected == (1,)
 
     def test_requires_two_subpopulations(self):
         d3 = TrialDesign(k=3, p=(0.4, 0.3, 0.3), n1=30, n2=30, sigma=1.0)
         with pytest.raises(ConfigurationError):
-            apply_d1(d3, Stage1Summary((0.0, 0.0, 0.0)), z_star=1.0)
+            SIM_D1.decide(d3, Stage1Summary((0.0, 0.0, 0.0)))
 
 
 class TestMeanThresholdRule:
     def test_worked_example_continues_full(self):
-        dec = apply_d2(EXAMPLE_DESIGN, Stage1Summary((0.113, 0.013)), 0.025)
+        dec = EXAMPLE_RULE.decide(EXAMPLE_DESIGN, Stage1Summary((0.113, 0.013)))
         assert dec.selected == (1, 2)
         assert dec.label == "full"
 
     def test_enrichment_bounds(self):
-        dec = apply_d2(EXAMPLE_DESIGN, Stage1Summary((0.06, -0.06)), 0.025)
+        dec = EXAMPLE_RULE.decide(EXAMPLE_DESIGN, Stage1Summary((0.06, -0.06)))
         assert dec.selected == (1,)
         (t,) = dec.targets
         assert t.lower == pytest.approx(0.025, abs=1e-12)
         assert t.upper == pytest.approx(0.11, abs=1e-12)
 
     def test_futility_stop(self):
-        dec = apply_d2(EXAMPLE_DESIGN, Stage1Summary((0.01, 0.02)), 0.025)
+        dec = EXAMPLE_RULE.decide(EXAMPLE_DESIGN, Stage1Summary((0.01, 0.02)))
         assert dec.stopped
         assert dec.selected == ()
         assert dec.targets == ()
 
     def test_co_primary_targets_under_full_continuation(self):
-        dec = apply_d2(
-            EXAMPLE_DESIGN, Stage1Summary((0.113, 0.013)), 0.025, co_primary=True
-        )
+        dec = EXAMPLE_RULE_CP.decide(EXAMPLE_DESIGN,
+                                     Stage1Summary((0.113, 0.013)))
         names = [t.name for t in dec.targets]
         assert names == ["full", "delta1", "delta2"]
         t1 = dec.targets[1]
@@ -128,66 +127,67 @@ class TestMeanThresholdRule:
 
 class TestAuxiliaryDifferenceRule:
     DESIGN = TrialDesign(k=2, p=(0.5, 0.5), n1=100, n2=100, sigma=1.0)
+    RULE = DecisionRule("kimani2015", 0.1)
 
     def test_enrichment_bound(self):
-        dec = apply_kimani2015(self.DESIGN, Stage1Summary((1.0, 0.5)), 0.1)
+        dec = self.RULE.decide(self.DESIGN, Stage1Summary((1.0, 0.5)))
         assert dec.selected == (1,)
         (t,) = dec.targets
         assert t.lower == pytest.approx(0.5 + 0.1 / 0.5, abs=1e-12)
         assert t.upper == math.inf
 
     def test_zero_difference_continues_unaltered(self):
-        dec = apply_kimani2015(self.DESIGN, Stage1Summary((0.5, 0.5)), 0.1)
+        dec = self.RULE.decide(self.DESIGN, Stage1Summary((0.5, 0.5)))
         assert dec.selected == (1, 2)
         (t,) = dec.targets
         assert t.lower == -math.inf and t.upper == math.inf
 
     def test_negative_difference_never_enriches(self):
-        dec = apply_kimani2015(self.DESIGN, Stage1Summary((0.5, 1.0)), 0.1)
+        dec = self.RULE.decide(self.DESIGN, Stage1Summary((0.5, 1.0)))
         assert dec.selected == (1, 2)
 
 
 class TestNestedBlockRule:
     DESIGN = TrialDesign(k=3, p=(1 / 3, 1 / 3, 1 / 3), n1=90, n2=90, sigma=1.0)
+    RULE = DecisionRule("kimani2018", 0.0)
 
     def test_leading_block_bounds(self):
-        dec = apply_kimani2018(self.DESIGN, Stage1Summary((1.0, -2.0, -0.5)), 0.0)
+        dec = self.RULE.decide(self.DESIGN, Stage1Summary((1.0, -2.0, -0.5)))
         assert dec.selected == (1,)
         (t,) = dec.targets
         assert t.lower == pytest.approx(0.0, abs=1e-12)
         assert t.upper == pytest.approx(2.0, abs=1e-12)
 
     def test_full_block_selected(self):
-        dec = apply_kimani2018(self.DESIGN, Stage1Summary((1.0, 0.5, 0.4)), 0.0)
+        dec = self.RULE.decide(self.DESIGN, Stage1Summary((1.0, 0.5, 0.4)))
         assert dec.selected == (1, 2, 3)
         (t,) = dec.targets
         assert t.lower == pytest.approx(0.0, abs=1e-12)
         assert t.upper == math.inf
 
     def test_no_block_qualifies(self):
-        dec = apply_kimani2018(self.DESIGN, Stage1Summary((-1.0, -1.0, -1.0)), 0.0)
+        dec = self.RULE.decide(self.DESIGN, Stage1Summary((-1.0, -1.0, -1.0)))
         assert dec.stopped
 
 
 class TestPooledEstimate:
     def test_worked_example_full_population(self):
-        dec = apply_d2(EXAMPLE_DESIGN, Stage1Summary((0.113, 0.013)), 0.025)
+        dec = EXAMPLE_RULE.decide(EXAMPLE_DESIGN, Stage1Summary((0.113, 0.013)))
         s1 = Stage1Summary((0.113, 0.013))
         s2 = Stage2Summary(0.045)
         est = pooled_estimate(EXAMPLE_DESIGN, dec, s1, s2, dec.targets[0])
         assert est == pytest.approx(0.057, abs=1e-3)
 
     def test_worked_example_first_subgroup(self):
-        dec = apply_d2(
-            EXAMPLE_DESIGN, Stage1Summary((0.113, 0.013)), 0.025, co_primary=True
-        )
+        dec = EXAMPLE_RULE_CP.decide(EXAMPLE_DESIGN,
+                                     Stage1Summary((0.113, 0.013)))
         s1 = Stage1Summary((0.113, 0.013))
         s2 = Stage2Summary(0.045, sub_means=(0.155, -0.064))
         est = pooled_estimate(EXAMPLE_DESIGN, dec, s1, s2, dec.targets[1])
         assert est == pytest.approx(0.127, abs=1e-3)
 
     def test_idempotence_on_equal_means(self):
-        dec = apply_d2(SIM_DESIGN, Stage1Summary((1.7, 1.7)), 1.0)
+        dec = SIM_D2.decide(SIM_DESIGN, Stage1Summary((1.7, 1.7)))
         est = pooled_estimate(
             SIM_DESIGN, dec, Stage1Summary((1.7, 1.7)), Stage2Summary(1.7),
             dec.targets[0],
@@ -201,7 +201,7 @@ class TestPooledEstimate:
         for _ in range(20):
             means = tuple(rng.normal(1.0, 1.0, size=2))
             s1 = Stage1Summary(means)
-            dec = apply_d2(SIM_DESIGN, s1, 0.2)
+            dec = DecisionRule("d2", 0.2).decide(SIM_DESIGN, s1)
             if dec.stopped:
                 continue
             s2_mean = float(rng.normal(1.0, 1.0))
@@ -214,8 +214,8 @@ class TestPooledEstimate:
             assert est == pytest.approx(ref, abs=1e-12)
 
     def test_missing_target_rejected(self):
-        dec = apply_d2(SIM_DESIGN, Stage1Summary((1.7, 1.7)), 1.0)
-        other = apply_d2(SIM_DESIGN, Stage1Summary((-0.5, 1.8)), 1.0)
+        dec = SIM_D2.decide(SIM_DESIGN, Stage1Summary((1.7, 1.7)))
+        other = SIM_D2.decide(SIM_DESIGN, Stage1Summary((-0.5, 1.8)))
         with pytest.raises(ConfigurationError):
             pooled_estimate(
                 SIM_DESIGN, dec, Stage1Summary((1.7, 1.7)), Stage2Summary(0.0),
@@ -239,7 +239,7 @@ class TestConfidenceIntervals:
 
     def test_worked_example_reproduces_published_table(self):
         s1 = Stage1Summary((0.113, 0.013))
-        dec = apply_d2(EXAMPLE_DESIGN, s1, 0.025, co_primary=True)
+        dec = EXAMPLE_RULE_CP.decide(EXAMPLE_DESIGN, s1)
         s2 = Stage2Summary(0.045, sub_means=(0.155, -0.064))
         cis = confidence_intervals(
             EXAMPLE_DESIGN, dec, s1, s2, ("naive", "umau", "tost")
@@ -262,7 +262,7 @@ class TestConfidenceIntervals:
 
         monkeypatch.setattr(batch, "batch_ctost_ci", counted)
         s1 = Stage1Summary((0.113, 0.013))
-        dec = apply_d2(EXAMPLE_DESIGN, s1, 0.025, co_primary=True)
+        dec = EXAMPLE_RULE_CP.decide(EXAMPLE_DESIGN, s1)
         s2 = Stage2Summary(0.045, sub_means=(0.155, -0.064))
         cis = confidence_intervals(
             EXAMPLE_DESIGN, dec, s1, s2, ("naive", "umau", "tost")
@@ -284,7 +284,7 @@ class TestConfidenceIntervals:
     def test_unaltered_targets_collapse_to_naive(self):
         design = TestAuxiliaryDifferenceRule.DESIGN
         s1 = Stage1Summary((0.5, 0.5))
-        dec = apply_kimani2015(design, s1, 0.1)
+        dec = DecisionRule("kimani2015", 0.1).decide(design, s1)
         cis = confidence_intervals(
             design, dec, s1, Stage2Summary(0.6), ("naive", "umau", "tost")
         )
@@ -295,7 +295,7 @@ class TestConfidenceIntervals:
 
     def test_repeated_methods_rejected(self):
         s1 = Stage1Summary((0.113, 0.013))
-        dec = apply_d2(EXAMPLE_DESIGN, s1, 0.025)
+        dec = EXAMPLE_RULE.decide(EXAMPLE_DESIGN, s1)
         with pytest.raises(ConfigurationError, match="naive"):
             confidence_intervals(
                 EXAMPLE_DESIGN, dec, s1, Stage2Summary(0.045),
@@ -303,7 +303,7 @@ class TestConfidenceIntervals:
             )
 
     def test_futility_decision_rejected(self):
-        dec = apply_d2(EXAMPLE_DESIGN, Stage1Summary((0.01, 0.02)), 0.025)
+        dec = EXAMPLE_RULE.decide(EXAMPLE_DESIGN, Stage1Summary((0.01, 0.02)))
         with pytest.raises(ConfigurationError):
             confidence_intervals(
                 EXAMPLE_DESIGN, dec, Stage1Summary((0.01, 0.02)),
@@ -327,7 +327,7 @@ class TestPartitionProperties:
         se_pool = design.stage1_se((1, 2))
         for row in draws[:2000]:
             s1 = Stage1Summary(tuple(row))
-            dec = apply_d1(design, s1, z_star)
+            dec = DecisionRule("d1", z_star).decide(design, s1)
             # Primary form, reimplemented from the Z-statistic definitions.
             z = row / se
             z_pool = (0.5 * row[0] + 0.5 * row[1]) / se_pool
@@ -350,7 +350,7 @@ class TestPartitionProperties:
         counts = {"full": 0, "sub1": 0, "sub2": 0, "stop": 0}
         for row in draws[:2000]:
             s1 = Stage1Summary(tuple(row))
-            dec = apply_d2(design, s1, delta_star)
+            dec = DecisionRule("d2", delta_star).decide(design, s1)
             pooled = 0.5 * row[0] + 0.5 * row[1]
             if pooled > delta_star:
                 expected = (1, 2)
@@ -383,7 +383,7 @@ class TestPartitionProperties:
         draws = rng.normal(0.1, 1.0, size=(2000, 3))
         for row in draws:
             s1 = Stage1Summary(tuple(row))
-            dec = apply_kimani2018(design, s1, 0.0)
+            dec = DecisionRule("kimani2018", 0.0).decide(design, s1)
             expected = ()
             for m in range(3, 0, -1):
                 block = (p[:m] * row[:m]).sum() / p[:m].sum()
@@ -589,24 +589,24 @@ class TestBatchRules:
                 upper = np.broadcast_to(t.upper, rows.shape)[rows]
                 assert bool(np.all(lower < upper)), (case, t.name)
 
-    @pytest.mark.parametrize("rule,args", [
-        (apply_d1, (1.0,)), (apply_d2, (0.1,)), (apply_kimani2015, (0.1,)),
-        (apply_kimani2018, (0.1,)), (DecisionRule("d1", 1.0).decide, ()),
-    ])
-    def test_stage1_length_must_match_k(self, rule, args):
+    @pytest.mark.parametrize("variant",
+                             ["d1", "d2", "kimani2015", "kimani2018"])
+    def test_stage1_length_must_match_k(self, variant):
         # Three means on a k=2 design used to decide from the first two,
         # or to fail in a numpy broadcast.
         with pytest.raises(ConfigurationError, match="expected k=2"):
-            rule(SIM_DESIGN, Stage1Summary((0.1, 0.2, 0.3)), *args)
+            DecisionRule(variant, 0.1).decide(
+                SIM_DESIGN, Stage1Summary((0.1, 0.2, 0.3)))
 
     def test_one_ulp_means_decide(self):
         means = Stage1Summary((1.0000000000000002,) * 2)
-        dec = apply_d2(UNEQUAL, means, 1.0)
+        dec = DecisionRule("d2", 1.0).decide(UNEQUAL, means)
         assert dec.selected == (1, 2)
 
     def test_scalar_rules_are_size_one_batches(self):
         means = np.random.default_rng(5).normal(1.0, 1.5, size=(20, 2))
         decided = batch_d2(UNEQUAL, means, 1.0, co_primary=True)
+        rule = DecisionRule("d2", 1.0, co_primary=True)
         for i, row in enumerate(means):
-            dec = apply_d2(UNEQUAL, Stage1Summary(tuple(row)), 1.0, True)
+            dec = rule.decide(UNEQUAL, Stage1Summary(tuple(row)))
             assert dec == decided.decision(i)

@@ -305,7 +305,8 @@ class TestConditionalCoverage:
             d1 = rng.normal(m.delta, m.sigma1, size=4 * n)
             d1 = d1[(d1 > m.lower) & (d1 < m.upper)]
             d2 = rng.normal(m.delta, m.sigma2, size=d1.size)
-            pool = (m.tau1 * d1 + m.tau2 * d2) / (m.tau1 + m.tau2)
+            t1, t2 = 1.0 / m.sigma1**2, 1.0 / m.sigma2**2
+            pool = (t1 * d1 + t2 * d2) / (t1 + t2)
             out = np.concatenate([out, pool])
         return out[:n]
 

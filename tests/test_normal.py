@@ -95,7 +95,7 @@ class TestOneOwensTCall:
     @pytest.mark.parametrize("upper,shape", [
         (math.inf, (2, 2, 3)), (3.0, (2, 2, 2, 3))],
         ids=["one finite bound", "two finite bounds"])
-    def test_cond_cdf(self, calls, upper, shape):
+    def test_law_cdf(self, calls, upper, shape):
         law = CondLaw(np.zeros(3), 1.0, np.array([0.5, 1.0, 2.0]), 0.5, upper)
         law.cdf(np.array([[0.2, 0.9, 1.7], [0.4, 1.1, 2.5]]))
         assert calls == [shape]
@@ -182,6 +182,32 @@ class TestNonFiniteArguments:
         z = np.array([np.nan, 0.0])
         assert np.isnan(norm_pdf(z)[0]) and norm_pdf(z)[1] > 0.0
         assert np.isnan(_kernels._log_phi(z)[0])
+
+    def test_bvn_cdf_nan_argument(self):
+        # NaN in h or k, with a finite, infinite or NaN partner.
+        h = np.array([np.nan, 1.0, np.nan, -np.inf, np.inf, np.nan, 0.3])
+        k = np.array([0.5, np.nan, np.inf, np.nan, np.nan, np.nan, -0.7])
+        got = bvn_cdf(h, k, 0.3)
+        assert np.isnan(got[:-1]).all()
+        assert got[-1] == bvn_cdf(0.3, -0.7, 0.3)
+        assert np.isnan(bvn_cdf(np.nan, 0.5, 0.3))
+        assert np.isnan(bvn_cdf(1.0, np.nan, 0.3))
+
+    @pytest.mark.parametrize("lower,upper", [
+        (-np.inf, 1.0), (0.5, np.inf), (-0.3, 0.9), (5.0, np.inf),
+        (5.0, 5.5),
+    ], ids=["upper-only", "lower-only", "two-sided", "deep", "deep-two-sided"])
+    def test_law_cdf_nan_point(self, lower, upper):
+        got = CondLaw(0.0, 1.0, 1.0, lower, upper).cdf(np.array([np.nan, 5.2]))
+        assert np.isnan(got[0])
+        assert got[1] == CondLaw(0.0, 1.0, 1.0, lower, upper).cdf(5.2)
+
+    def test_mixed_law_cdf_nan_point(self):
+        law = CondLaw(0.0, 1.0, 1.0, np.array([0.5, -np.inf, 5.0]),
+                      np.array([np.inf, 1.0, np.inf]))
+        got = law.cdf(np.array([[np.nan] * 3, [0.4, 0.4, 5.2]]))
+        assert np.isnan(got[0]).all()
+        assert np.array_equal(got[1], law.cdf(np.array([0.4, 0.4, 5.2])))
 
 
 class TestBadCorrelation:
