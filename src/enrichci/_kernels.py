@@ -189,6 +189,7 @@ class CondLaw:
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
         zx = (x - self.delta) / self.sigma12
+        x = np.where(np.isinf(x), 0.0, x)  # no inf - inf; -inf regardless
         log_num = log_norm_prob_range((self.lower - x) / self.s,
                                       (self.upper - x) / self.s)
         return _log_phi(zx) - np.log(self.sigma12) + log_num - self.log_den

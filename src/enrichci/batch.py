@@ -4,7 +4,8 @@ Each element carries its own geometry (``sigma1``, ``sigma2`` and the
 bounds) and observation, so all targets of a trial, or all replicates of
 a scenario, are solved at once: damped Newton for the two moment
 constraints of the acceptance region, a joint Newton in the effect and
-cut from a closed-form start for the umau endpoints, and a safeguarded
+cut from a closed-form start for the umau endpoints (stopping on its
+quadratic error estimate where that is below tolerance), and a safeguarded
 Newton on the probit scale (``_kernels.probit_newton``) for the tost
 endpoints. Each iteration evaluates the conditional law once, as one
 ``_kernels.CondLaw`` at all the points it needs. Elements that fail to
@@ -96,6 +97,12 @@ def _slope_matches_density(at, delta, sigma1, sigma2, lower, upper):
     return np.abs((cdf_up - cdf_down) / (2 * h) - pdf) <= 1e-5 * pdf
 
 
+def _newton_settled(size, last, tol):
+    """Whether a plain step of ``size`` after one of ``last`` (NaN: not a
+    plain step) shrank 100-fold and size * (size / last)**2 <= ``tol``."""
+    return (size <= 1e-2 * last) & (size <= np.cbrt(tol) * np.cbrt(last)**2)
+
+
 def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
     """Both endpoints of the exact-test inversion, per element.
 
@@ -109,7 +116,10 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
     result, solved here if not given) with c at the alpha/2 or 1 - alpha/2
     normal quantile of the conditional law (or one conditional sd past the
     observation). Steps are clipped to one pooled sd in delta and one
-    conditional sd in c. Returns (lower, upper, ok).
+    conditional sd in c. An element stops on a step below 1e-11 sigma12, on
+    a stall, or on a plain step (not clipped or halved) after another whose
+    quadratic error estimate is below that, without a confirming law
+    evaluation (``_newton_settled``). Returns (lower, upper, ok).
     """
     shape, (observed, sigma1, sigma2, lower, upper) = flat_broadcast(
         observed, sigma1, sigma2, lower, upper)
@@ -130,7 +140,7 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
     c = law.mean + side * ndtri(1.0 - 0.5 * alpha) * spread
     c = np.where(side * (c - x) > 0.0, c, x + side * spread)
 
-    last_step = np.full(2 * n, np.inf)
+    last_step, last_plain = np.full(2 * n, np.inf), np.full(2 * n, np.nan)
     ok = np.zeros(2 * n, dtype=bool)
     idx = np.arange(2 * n)
     for it in range(50):
@@ -156,17 +166,21 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
             step_d = (g1 * cc - g2) / den
             step_c = (j11 * g2 - j21 * g1) / (den * sd * law.pdf(cc))
         finite = np.isfinite(step_d) & np.isfinite(step_c)
-        size = np.abs(step_d)
-        # Converged: a step below tolerance, or a small step that no longer
+        size, full = np.abs(step_d), np.maximum(np.abs(step_d), np.abs(step_c))
+        c_new = cc - np.clip(step_c, -spread, spread)
+        # A cut that crosses the observation moves halfway towards it.
+        uncrossed = sd * (c_new - xo) > 0.0
+        plain = np.where(uncrossed & (size <= s12) & (np.abs(step_c) <= spread),
+                         full, np.nan)
+        c_new = np.where(uncrossed, c_new, 0.5 * (cc + xo))
+        # Converged (see above); a stall is a small step that no longer
         # shrinks because rounding in the residuals sets the floor (far
         # from the truncation the law barely depends on delta).
         last, last_step[idx] = last_step[idx], size
         stalled = (last <= 1e-7 * s12) & (size > 0.5 * last)
-        conv = finite & (stalled | (
-            np.maximum(size, np.abs(step_c)) <= 1e-11 * s12))
-        c_new = cc - np.clip(step_c, -spread, spread)
-        # A cut that crosses the observation moves halfway towards it.
-        c_new = np.where(sd * (c_new - xo) > 0.0, c_new, 0.5 * (cc + xo))
+        settled, last_plain[idx] = _newton_settled(
+            plain, last_plain[idx], 1e-11 * s12), plain
+        conv = finite & (stalled | settled | (full <= 1e-11 * s12))
         delta[idx[finite]] = (d - np.clip(step_d, -s12, s12))[finite]
         c[idx[finite]] = c_new[finite]
         ok[idx[conv]] = True

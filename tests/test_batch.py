@@ -10,6 +10,7 @@ against the Chandrupatla root-finder they replaced (``monotone_root``).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -447,6 +448,47 @@ class TestSigmaRatios:
             ) is None
 
 
+class TestStopRule:
+    """umau may stop on a plain Newton step whose quadratic error estimate
+    is below tolerance. Across sigma1/sigma2 every endpoint it returns
+    meets its equations, and at least the given number of the 13 plausible
+    observations converge: all of them from 0.05 up; below, the outer ones
+    do not."""
+
+    CONVERGED = {(0.01, "one-sided"): 11, (0.01, "two-sided"): 7,
+                 (0.02, "one-sided"): 12, (0.02, "two-sided"): 12}
+
+    @pytest.mark.parametrize("kind", ["one-sided", "two-sided"])
+    @pytest.mark.parametrize("ratio", [0.01, 0.02, 0.05, 0.1, 1.0, 10.0])
+    def test_converged_endpoints_meet_their_equations(self, ratio, kind):
+        lower, upper = _bounds(ratio, kind)
+        observed = _plausible_observations(ratio, 1.0, lower, upper)
+        lo, hi, ok = batch_umau_ci(observed, 0.05, ratio, 1.0, lower, upper)
+        assert np.count_nonzero(ok) >= self.CONVERGED.get((ratio, kind), 13)
+        geom = ConditionalNormal(0.0, ratio, 1.0, lower=lower, upper=upper)
+        for x, d_lo, d_hi in zip(observed[ok], lo[ok], hi[ok]):
+            est = IntervalEstimate(d_lo, d_hi, "umau", 0.05)
+            assert _umau_equation_error(geom, x, est, 0.05) is None, x
+
+    def test_settled_rule_cannot_overflow(self):
+        # size**3, or size / last after a small step, overflows on huge
+        # steps; cube roots do not. NaN marks an element without a
+        # previous plain step, after which no step settles.
+        size = np.array([1e300, 1e-20, 1.0, 1e298, 1e-6, 1e-4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not batch._newton_settled(size, np.nan, 1e-11).any()
+            assert batch._newton_settled(size, np.inf, 1e-11).all()
+            assert not batch._newton_settled(size, 1e-3, 1e-11)[0]
+            assert np.array_equal(batch._newton_settled(size, 1e300, 1e-11),
+                                  [False, True, True, False, True, True])
+            last = np.array([1e-2, 1e-1])
+            want = size[4:] * (size[4:] / last)**2 <= 1e-11
+            assert want.tolist() == [True, False]
+            assert np.array_equal(
+                batch._newton_settled(size[4:], last, 1e-11), want)
+
+
 class TestTostGuard:
     """tost at sigma1/sigma2 where the kernels lose accuracy."""
 
@@ -676,13 +718,15 @@ class TestOneEvaluationPerIteration:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"laws": 0, "cdf": 0, "bvn": 0, "newton": 0, "points": set()}
+        counts = {"laws": 0, "elements": 0, "cdf": 0, "bvn": 0, "newton": 0,
+                  "points": set()}
         law, bvn, newton = _kernels.CondLaw, _kernels.bvn_cdf, probit_newton
         init, cdf = law.__init__, law.cdf
 
         def counted_init(self, *args):
             counts["laws"] += 1
             init(self, *args)
+            counts["elements"] += self.deep.size
 
         def counted_cdf(self, x):
             # The stacking axes in front of the law's element axis.
@@ -725,7 +769,8 @@ class TestOneEvaluationPerIteration:
 
     def test_batch_umau_ci(self, counts, args):
         seeds = batch_ctost_ci(np.array([0.4, 1.2]), 0.05, *args)
-        counts.update(laws=0, cdf=0, bvn=0, newton=0, points=set())
+        counts.update(laws=0, elements=0, cdf=0, bvn=0, newton=0,
+                      points=set())
         ok = batch_umau_ci(np.array([0.4, 1.2]), 0.05, *args,
                            seeds=seeds)[2]
         assert bool(np.all(ok))
@@ -735,6 +780,17 @@ class TestOneEvaluationPerIteration:
         self._assert_one_per_iteration(counts, starts=0)
         assert counts["cdf"] > 1 and counts["newton"] == 0
         assert counts["points"] == {(2,), (2, 2)}
+
+    def test_umau_stops_on_its_error_estimate(self, counts):
+        # A plain step whose quadratic error estimate is below tolerance
+        # ends an element without the law evaluation that would confirm it.
+        s1, lower, upper, observed = _start_problems(200)
+        seeds = batch_ctost_ci(observed, 0.05, s1, 1.0, lower, upper)
+        counts.update(laws=0, elements=0)
+        ok = batch_umau_ci(observed, 0.05, s1, 1.0, lower, upper,
+                           seeds=seeds)[2]
+        assert bool(np.all(ok))
+        assert (counts["elements"], counts["laws"]) == (1684, 8)
 
     def test_batch_solve_umpu(self, counts, args):
         ok = batch_solve_umpu(np.array([0.0, 0.7]), 0.05, *args,

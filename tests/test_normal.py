@@ -168,8 +168,8 @@ class TestMixedLaw:
 
 
 class TestNonFiniteArguments:
-    """The normal density is 0 and its log -inf at +/-inf, by IEEE
-    arithmetic and without a warning; a NaN stays NaN."""
+    """The normal density, and the conditional law's, is 0 and its log -inf
+    at +/-inf, without a warning; a NaN stays NaN."""
 
     def test_infinities(self):
         z = np.array([-np.inf, np.inf])
@@ -208,6 +208,22 @@ class TestNonFiniteArguments:
         got = law.cdf(np.array([[np.nan] * 3, [0.4, 0.4, 5.2]]))
         assert np.isnan(got[0]).all()
         assert np.array_equal(got[1], law.cdf(np.array([0.4, 0.4, 5.2])))
+
+    @pytest.mark.parametrize("lower,upper", [
+        (-np.inf, np.inf), (0.5, np.inf), (-np.inf, 1.0), (-0.3, 0.9),
+        (5.0, np.inf),
+    ], ids=["untruncated", "lower-only", "upper-only", "two-sided", "deep"])
+    def test_law_density_at_infinity(self, lower, upper):
+        # With the bound on the point's side infinite, the selection
+        # factor's standardized bound is inf - inf.
+        law = CondLaw(0.0, 1.0, 1.0, lower, upper)
+        ends = np.array([np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(law.pdf(ends), [0.0, 0.0])
+            assert np.array_equal(law.logpdf(ends), [-np.inf, -np.inf])
+        got = law.logpdf(np.array([np.nan, np.inf, 0.7]))
+        assert np.isnan(got[0]) and got[2] == law.logpdf(0.7)
 
 
 class TestBadCorrelation:
