@@ -9,8 +9,9 @@ quadratic error estimate where that is below tolerance), and a safeguarded
 Newton on the probit scale (``_kernels.probit_newton``) for the tost
 endpoints. Each iteration evaluates the conditional law once, as one
 ``_kernels.CondLaw`` at all the points it needs. Elements that fail to
-converge, or whose CDF disagrees with its density at the solution, are
-reported through an ``ok`` mask.
+converge, or whose CDF slope disagrees with its density next to the
+solution, are reported through an ``ok`` mask; the check starts from the
+solver's last evaluated point, whose F the solver already has.
 """
 
 import numpy as np
@@ -85,16 +86,15 @@ def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
     return c1.reshape(shape), c2.reshape(shape), ok.reshape(shape)
 
 
-def _slope_matches_density(at, delta, sigma1, sigma2, lower, upper):
-    """Where the CDF's central-difference slope at ``at``, over 1e-4 of the
-    law's sd however narrow the law, matches the density to 1e-5 relative.
-    Where a kernel loses accuracy it does not; solvers fail such elements
-    rather than return the root of inaccurate equations."""
-    law = CondLaw(delta, sigma1, sigma2, lower, upper)
+def _slope_matches_density(law, at, cdf):
+    """Where the CDF's forward-difference slope from ``at``, whose F the
+    caller already has in ``cdf``, over 2h matches the density at
+    ``at + h`` to 1e-5 relative, with h 1e-4 of the law's sd however narrow
+    the law. Where a kernel loses accuracy it does not; solvers fail such
+    elements rather than return the root of inaccurate equations."""
     h = 1e-4 * np.sqrt(law.var)
-    cdf_up, cdf_down = law.cdf(np.stack([at + h, at - h]))
-    pdf = law.pdf(at)
-    return np.abs((cdf_up - cdf_down) / (2 * h) - pdf) <= 1e-5 * pdf
+    pdf = law.pdf(at + h)
+    return np.abs((law.cdf(at + 2 * h) - cdf) / (2 * h) - pdf) <= 1e-5 * pdf
 
 
 def _newton_settled(size, last, tol):
@@ -119,7 +119,9 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
     conditional sd in c. An element stops on a step below 1e-11 sigma12, on
     a stall, or on a plain step (not clipped or halved) after another whose
     quadratic error estimate is below that, without a confirming law
-    evaluation (``_newton_settled``). Returns (lower, upper, ok).
+    evaluation (``_newton_settled``). The slope check starts from the
+    delta, cut and CDF values of an element's last iteration. Returns
+    (lower, upper, ok).
     """
     shape, (observed, sigma1, sigma2, lower, upper) = flat_broadcast(
         observed, sigma1, sigma2, lower, upper)
@@ -141,6 +143,7 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
     c = np.where(side * (c - x) > 0.0, c, x + side * spread)
 
     last_step, last_plain = np.full(2 * n, np.inf), np.full(2 * n, np.nan)
+    checked = np.empty((4, 2 * n))  # delta, c, F(c), F(x) where converged
     ok = np.zeros(2 * n, dtype=bool)
     idx = np.arange(2 * n)
     for it in range(50):
@@ -183,13 +186,15 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
         conv = finite & (stalled | settled | (full <= 1e-11 * s12))
         delta[idx[finite]] = (d - np.clip(step_d, -s12, s12))[finite]
         c[idx[finite]] = c_new[finite]
+        checked[:, idx[conv]] = np.stack([d, cc, f_c, f_x])[:, conv]
         ok[idx[conv]] = True
         idx = idx[finite & ~conv]
 
     idx = np.flatnonzero(ok)
+    d, cc, f_c, f_x = checked[:, idx]
+    law = CondLaw(d, sigma1[idx], sigma2[idx], lower[idx], upper[idx])
     ok[idx] = np.all(_slope_matches_density(
-        np.stack([c[idx], x[idx]]), delta[idx], sigma1[idx], sigma2[idx],
-        lower[idx], upper[idx]), axis=0)
+        law, np.stack([cc, x[idx]]), np.stack([f_c, f_x])), axis=0)
     ok = ok[:n] & ok[n:]
     return delta[:n].reshape(shape), delta[n:].reshape(shape), ok.reshape(shape)
 
@@ -202,24 +207,28 @@ def batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper):
     one where it falls to alpha/2. Both are ``probit_newton`` roots in one
     call, started at the naive endpoints, with the slope in delta from the
     covariance identity dF/d delta = (M(-inf, observed) - F mu) / sigma12^2.
+    The slope check starts from each root's last evaluated delta and F.
     """
     shape, flat = flat_broadcast(observed, sigma1, sigma2, lower, upper)
     n = flat[0].size
     q = np.repeat([1.0 - 0.5 * alpha, 0.5 * alpha], n)
     observed, sigma1, sigma2, lower, upper = (np.tile(a, 2) for a in flat)
     sigma12 = pooled_sd(sigma1, sigma2)
+    checked = np.empty((2, 2 * n))  # delta and F(observed), last evaluated
 
     def cdf_and_slope(delta, i):
         law = CondLaw(delta, sigma1[i], sigma2[i], lower[i], upper[i])
         cdf = law.cdf(observed[i])
+        checked[:, i] = delta, cdf
         m1, = law.partial_moments(-np.inf, observed[i], 0.0, cdf)
         return cdf, (m1 - cdf * law.mean) / sigma12[i]**2
 
     root, ok = probit_newton(cdf_and_slope, observed - ndtri(q) * sigma12, q,
                              -1.0, sigma12, xtol=1e-10 * sigma12)
     idx = np.flatnonzero(ok)
-    ok[idx] = _slope_matches_density(observed[idx], root[idx], sigma1[idx],
-                                     sigma2[idx], lower[idx], upper[idx])
+    law = CondLaw(checked[0, idx], sigma1[idx], sigma2[idx], lower[idx],
+                  upper[idx])
+    ok[idx] = _slope_matches_density(law, observed[idx], checked[1, idx])
     ok = ok[:n] & ok[n:]
     return root[:n].reshape(shape), root[n:].reshape(shape), ok.reshape(shape)
 

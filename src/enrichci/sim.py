@@ -123,8 +123,9 @@ def _uniform_block(seed, start, count, stride):
     bitgen = np.random.Philox(key=int(seed))
     bitgen.advance(int(start) * stride // 4)  # advance unit = 4 raw draws
     u = np.random.Generator(bitgen).random((count, stride))
-    # Guard the measure-zero u=0 draw away from ndtri's pole.
-    return np.clip(u, 1e-300, 1.0)
+    # Guard the measure-zero u=0 draw away from ndtri's pole (random()
+    # never draws 1).
+    return np.maximum(u, 1e-300, out=u)
 
 
 def _stage1_matrix(scenario, start, count):

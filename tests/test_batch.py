@@ -710,7 +710,8 @@ class TestOneEvaluationPerIteration:
     ``CondLaw`` whose CDF is one call, at every point the iteration needs,
     and one ``bvn_cdf`` call for one or two finite bounds. Besides the
     iterations, a solver may build one law for its starting mean and one
-    for each slope check."""
+    for its slope check, which evaluates the CDF at one new point per
+    checked point: it starts where the solver last evaluated the CDF."""
 
     @pytest.fixture(params=[np.inf, 3.0], ids=["one-sided", "two-sided"])
     def args(self, request):
@@ -718,8 +719,8 @@ class TestOneEvaluationPerIteration:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"laws": 0, "elements": 0, "cdf": 0, "bvn": 0, "newton": 0,
-                  "points": set()}
+        counts = {"laws": 0, "elements": 0, "cdf": 0, "bvn": 0,
+                  "bvn_elements": 0, "newton": 0, "points": set()}
         law, bvn, newton = _kernels.CondLaw, _kernels.bvn_cdf, probit_newton
         init, cdf = law.__init__, law.cdf
 
@@ -736,6 +737,7 @@ class TestOneEvaluationPerIteration:
 
         def counted_bvn(*args):
             counts["bvn"] += 1
+            counts["bvn_elements"] += np.broadcast(*args).size
             return bvn(*args)
 
         def counted_newton(f, *args, **kwargs):
@@ -776,21 +778,37 @@ class TestOneEvaluationPerIteration:
         assert bool(np.all(ok))
         # The joint Newton (the CDF at the cut and the observation), whose
         # first iteration reuses the law the cut starts from, then the
-        # slope check at both. No quantile is solved.
+        # slope check, 2h past both. No quantile is solved.
         self._assert_one_per_iteration(counts, starts=0)
         assert counts["cdf"] > 1 and counts["newton"] == 0
-        assert counts["points"] == {(2,), (2, 2)}
+        assert counts["points"] == {(2,)}
 
     def test_umau_stops_on_its_error_estimate(self, counts):
         # A plain step whose quadratic error estimate is below tolerance
         # ends an element without the law evaluation that would confirm it.
         s1, lower, upper, observed = _start_problems(200)
+        counts.update(laws=0, elements=0, bvn_elements=0)  # drop its laws
         seeds = batch_ctost_ci(observed, 0.05, s1, 1.0, lower, upper)
         counts.update(laws=0, elements=0)
         ok = batch_umau_ci(observed, 0.05, s1, 1.0, lower, upper,
                            seeds=seeds)[2]
         assert bool(np.all(ok))
         assert (counts["elements"], counts["laws"]) == (1684, 8)
+
+    def test_slope_checks_start_where_the_solvers_stopped(self, counts):
+        # Each checked point adds one CDF point to the one its solver last
+        # evaluated, in one law per solver.
+        s1, lower, upper, observed = _start_problems(200)
+        counts.update(laws=0, elements=0, bvn_elements=0)  # drop its laws
+        seeds = batch_ctost_ci(observed, 0.05, s1, 1.0, lower, upper)
+        assert bool(np.all(seeds[2]))
+        tost = counts["bvn_elements"], counts["elements"], counts["laws"]
+        counts.update(laws=0, elements=0, bvn_elements=0)
+        ok = batch_umau_ci(observed, 0.05, s1, 1.0, lower, upper,
+                           seeds=seeds)[2]
+        assert bool(np.all(ok))
+        umau = counts["bvn_elements"], counts["elements"], counts["laws"]
+        assert (tost, umau) == ((1949, 2134, 12), (2968, 1684, 8))
 
     def test_batch_solve_umpu(self, counts, args):
         ok = batch_solve_umpu(np.array([0.0, 0.7]), 0.05, *args,

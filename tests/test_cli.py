@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from enrichci._kernels import CondLaw
 from enrichci.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -73,6 +74,16 @@ class TestCmdCi:
         code, lines, _ = run(["ci", "--config", cfg], capsys)
         assert code == 0
         assert lines == ["decision,stop"]
+
+    def test_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A CDF off by 1e-4 relative fails the solvers' slope check.
+        cdf = CondLaw.cdf
+        monkeypatch.setattr(CondLaw, "cdf",
+                            lambda law, x: (1.0 + 1e-4) * cdf(law, x))
+        cfg = write_config(tmp_path, CI_CONFIG)
+        code, lines, err = run(["ci", "--config", cfg], capsys)
+        assert code == 1
+        assert "numerical failure" in err
 
     def test_missing_sigma_is_config_error(self, tmp_path, capsys):
         payload = {k: v for k, v in CI_CONFIG.items() if k != "sigma"}

@@ -91,6 +91,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="selection probability"):
             ConditionalNormal(0.0, 1.0, 1.0, lower=40.0, upper=41.0)
 
+    @pytest.mark.parametrize("lower,upper,truncated", [
+        (-math.inf, math.inf, False),
+        (0.2, math.inf, True),
+        (-math.inf, 0.2, True),
+        (-0.3, 1.0, True),
+    ])
+    def test_truncated(self, lower, upper, truncated):
+        m = ConditionalNormal(0.0, 1.0, 1.0, lower=lower, upper=upper)
+        assert m.truncated is truncated
+
     def test_at_rebuilds_with_new_delta(self):
         m = ConditionalNormal(0.0, 1.0, 1.0, lower=0.0)
         m2 = m.at(1.5)

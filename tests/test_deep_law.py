@@ -162,7 +162,7 @@ class TestSlopeCheck:
     """The slope check passes the kernels' law at tost endpoints, deep ones
     included, and rejects a law whose CDF slope is off by 1e-4 relative,
     at sigma1/sigma2 of 1 and of 0.01, where the law is about 0.01 sigma12
-    wide."""
+    wide. So does each solver, which checks every converged endpoint."""
 
     @pytest.mark.parametrize("factor", [1.0 - 1e-4, 1.0 + 1e-4])
     @pytest.mark.parametrize("ratio", [1.0, 0.01])
@@ -171,13 +171,36 @@ class TestSlopeCheck:
         observed = _plausible_observations(ratio, 1.0, lower, upper)
         lo, hi, ok = batch_ctost_ci(observed, 0.05, ratio, 1.0, lower, upper)
         assert bool(np.all(ok))
-        at, args = np.tile(observed, 2), (ratio, 1.0, lower, upper)
-        delta = np.concatenate([lo, hi])
-        assert bool(np.all(batch._slope_matches_density(at, delta, *args)))
+        at, delta = np.tile(observed, 2), np.concatenate([lo, hi])
+
+        def slope_matches():
+            # The anchor F comes from the CDF that is differenced, so only
+            # the slope is under test.
+            law = CondLaw(delta, ratio, 1.0, lower, upper)
+            return batch._slope_matches_density(law, at, law.cdf(at))
+
+        assert bool(np.all(slope_matches()))
         cdf = CondLaw.cdf
         monkeypatch.setattr(CondLaw, "cdf",
                             lambda law, x: factor * cdf(law, x))
-        assert not np.any(batch._slope_matches_density(at, delta, *args))
+        assert not np.any(slope_matches())
+
+    @pytest.mark.parametrize("kind", ["one-sided", "two-sided"])
+    @pytest.mark.parametrize("factor", [1.0 - 1e-4, 1.0 + 1e-4])
+    @pytest.mark.parametrize("ratio", [1.0, 0.01])
+    def test_solvers_reject_every_endpoint(self, monkeypatch, ratio, factor,
+                                           kind):
+        lower, upper = _bounds(ratio, kind)
+        args = (0.05, ratio, 1.0, lower, upper)
+        observed = _plausible_observations(ratio, 1.0, lower, upper)
+        seeds = batch_ctost_ci(observed, *args)
+        assert bool(np.all(seeds[2]))
+        cdf = CondLaw.cdf
+        monkeypatch.setattr(CondLaw, "cdf",
+                            lambda law, x: factor * cdf(law, x))
+        # Without the check, both solvers converge on most of these.
+        assert not np.any(batch_ctost_ci(observed, *args)[2])
+        assert not np.any(batch_umau_ci(observed, *args, seeds=seeds)[2])
 
 
 class TestTostAtSmallRatios:
@@ -250,6 +273,24 @@ class TestOneDeepPassPerIteration:
         assert bool(np.all(batch_umau_ci(observed, 0.05, 1.0, 1.0, 30.0,
                                          np.inf, seeds=seeds)[2]))
         assert counts["deep"] == counts["cdf"] > 0
+
+
+class TestDeepBroadcast:
+    """A deep law whose elements broadcast against more points than it has
+    integrates at the points' shape, bit for bit as a law of that shape."""
+
+    def test_size_one_law_equals_a_law_of_the_points_shape(self):
+        x = np.array([1.0, 2.0, 3.0])
+
+        def values(delta):
+            law = CondLaw(delta, 1.0, 1.0, 5.0, np.inf)
+            assert bool(np.all(law.deep))
+            # A second law, so the moments do not come from the CDF's memo.
+            moments = CondLaw(delta, 1.0, 1.0, 5.0, np.inf).partial_moments(
+                -np.inf, x, order=2)
+            return np.stack([law.cdf(x), *moments])
+
+        assert np.array_equal(values(np.array([0.0])), values(np.zeros(3)))
 
 
 class TestTrustRadius:
