@@ -11,7 +11,10 @@ per set of per-element parameters (each element has its own ``sigma1``,
 ``sigma2``, ``lower`` and ``upper``): a solver iteration builds one and
 reads F, f, partial moments, mean and variance from it. Quantiles and the
 tost endpoints in ``batch`` are ``probit_newton`` roots: Newton on the probit
-scale of a monotone CDF, safeguarded by a bracket.
+scale of a monotone CDF, safeguarded by a bracket. +/-inf bookkeeping runs
+only where an element needs it: the CDF's limits at x = +/-inf, and the
+partial moments' guards on infinite ends and bounds, only when some point
+or bound is infinite; a lower end given as the scalar -inf has no terms.
 """
 
 from functools import cached_property
@@ -91,11 +94,11 @@ def _deep_partial_moment(x, delta, sigma1, sigma2, a1, b1):
     v_at = np.where(np.isinf(v_star), lo - reach, v_star)  # x = +/-inf
     den = _mills(lo) - np.exp(-0.5 * (hi - lo) * (hi + lo)) * _mills(hi)
     # Where z >= 8 (V in (p, q)) the law given V lies below x.
-    p_q = np.minimum(np.maximum(np.stack([v_star + reach, v_star - reach]),
+    p_q = np.minimum(np.maximum(np.array([v_star + reach, v_star - reach]),
                                 lo), hi)
-    p_q = np.stack([np.where(flip, p_q[0], lo), np.where(flip, hi, p_q[1])])
+    p_q[0], p_q[1] = np.where(flip, p_q[0], lo), np.where(flip, hi, p_q[1])
     out = 0.0
-    if np.any(p_q[1] > p_q[0]):
+    if (p_q[1] > p_q[0]).any():
         rel = np.exp(-0.5 * (p_q - lo) * (p_q + lo))  # phi / phi(lo)
         mills = _mills(p_q)
         prob = (rel[0] * mills[0] - rel[1] * mills[1]) / den  # den: P / phi(lo)
@@ -103,11 +106,11 @@ def _deep_partial_moment(x, delta, sigma1, sigma2, a1, b1):
         v1 = c * sign * (phi[0] - phi[1])  # c E[U] and c^2 E[U^2] there
         p_q = np.where(np.isfinite(p_q), p_q, 0.0)  # phi is 0 at +inf
         v2 = c * c * (prob + p_q[0] * phi[0] - p_q[1] * phi[1])
-        out = np.stack([prob, delta * prob + v1, (delta * delta + tau * tau)
+        out = np.array([prob, delta * prob + v1, (delta * delta + tau * tau)
                         * prob + 2.0 * delta * v1 + v2])
 
     edges = np.minimum(np.maximum(
-        np.stack([v_at - reach, v_at, v_at + reach]), lo), hi)[..., None]
+        np.array([v_at - reach, v_at, v_at + reach]), lo), hi)[..., None]
     start, span = edges[:2], edges[1:] - edges[:2]  # (piece, ..., node)
     rate = np.maximum(start, 1.0)
     s_end = span * (rate + 0.5 * span)
@@ -121,7 +124,7 @@ def _deep_partial_moment(x, delta, sigma1, sigma2, a1, b1):
     z = (sign * k)[..., None] * ((v_at[..., None] - start) - y)
     mean, tau = delta[..., None] + (c * sign)[..., None] * v, tau[..., None]
     cdf, pdf = ndtr(z), norm_pdf(z)
-    rows = np.add.reduce(weight * np.stack([
+    rows = np.add.reduce(weight * np.array([
         cdf, mean * cdf - tau * pdf, (mean * mean + tau * tau) * cdf
         - tau * pdf * (2.0 * mean + tau * z)]), axis=-1)
     return out + rows[:, 0] + rows[:, 1]
@@ -200,8 +203,8 @@ class CondLaw:
     @cached_property
     def _deep_args(self):
         """delta, sigma1, sigma2, a1 and b1 at the deep elements, flat."""
-        return [np.broadcast_to(v, self.deep.shape)[self.deep]
-                for v in (self.delta, self.sigma1, self.sigma2, self.a1, self.b1)]
+        return [v[self.deep] for v in np.broadcast_arrays(
+            self.delta, self.sigma1, self.sigma2, self.a1, self.b1)]
 
     def _deep_moments(self, x, shape):
         """Rows F, M1, M2 on (-inf, x) at the deep elements of ``shape`` (in
@@ -211,17 +214,17 @@ class CondLaw:
             return CondLaw(*np.broadcast_arrays(
                 self.delta, self.sigma1, self.sigma2, self.lower, self.upper,
                 np.empty(shape))[:5])._deep_moments(x, shape)
-        pts = np.broadcast_to(x, shape).reshape(-1, self.deep.size)[
-            :, self.deep.ravel()]
-        memo_x, memo = self._memo or (pts[:0], None)
-        if memo_x.shape[0] * pts.size <= 1 << 22:  # bound the comparison
+        pts = (x if x.shape == shape else np.broadcast_to(x, shape)).reshape(
+            -1, self.deep.size)[:, self.deep.ravel()]
+        memo_x, memo = self._memo or (pts, None)
+        if memo is not None and memo_x.shape[0] * pts.size <= 1 << 22:
             known = memo_x[:, None] == pts  # (memo row, row, deep element)
             if known.any(0).all():
                 return memo[:, known.argmax(0),
                             np.arange(pts.shape[1])].reshape(3, -1)
         rows = _deep_partial_moment(pts, *self._deep_args)
-        self._memo = (np.concatenate([memo_x, pts]), rows if memo is None
-                      else np.concatenate([memo, rows], axis=1))
+        self._memo = (pts, rows) if memo is None else (
+            np.concatenate([memo_x, pts]), np.concatenate([memo, rows], axis=1))
         return rows.reshape(3, -1)
 
     def cdf(self, x):
@@ -244,21 +247,22 @@ class CondLaw:
             below[0, ~use[0]] = ndtr(zx_b[~use[0]])
             below_upper, below_lower = below
         elif self.up and self.low:
-            zx_b, *k = np.broadcast_arrays(zx, self.b1, self.a1)
-            below_upper, below_lower = bvn_cdf(zx_b, np.stack(k), self.rho)
+            k = np.empty((2, *np.broadcast(zx, self.b1, self.a1).shape))
+            k[0], k[1] = self.b1, self.a1
+            below_upper, below_lower = bvn_cdf(zx, k, self.rho)
         else:
             below_upper = bvn_cdf(zx, self.b1, self.rho) if self.up else ndtr(zx)
             below_lower = bvn_cdf(zx, self.a1, self.rho) if self.low else 0.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.minimum(np.maximum(
-                (below_upper - below_lower) / self.den, 0.0), 1.0)
+            out = (below_upper - below_lower) / self.den
         if self.any_deep:
             out = np.array(out)
             out.reshape(-1)[np.flatnonzero(np.broadcast_to(
-                self.deep, out.shape))] = np.clip(
-                    self._deep_moments(x, out.shape)[0], 0.0, 1.0)
-        out = np.where(zx == np.inf, 1.0, out)
-        return np.where(zx == -np.inf, 0.0, out)
+                self.deep, out.shape))] = self._deep_moments(x, out.shape)[0]
+        out = np.minimum(np.maximum(out, 0.0), 1.0)
+        if np.isinf(zx).any():  # the limits at x = +/-inf
+            out = np.where(zx == np.inf, 1.0, np.where(zx == -np.inf, 0.0, out))
+        return out
 
     def partial_moments(self, a, b, cdf_a=None, cdf_b=None, order=1):
         """Integrals of t * pdf(t) and, for ``order`` 2, of t**2 * pdf(t)
@@ -279,44 +283,50 @@ class CondLaw:
         beta = -self.sigma2 / self.sigma1
         r = self.hyp / self.sigma1  # sqrt(1 + beta^2)
 
-        za = (a - delta) / sigma12
-        zb = (b - delta) / sigma12
-        za_f = np.where(np.isfinite(za), za, 0.0)
-        zb_f = np.where(np.isfinite(zb), zb, 0.0)
+        # Rows a and b, or b alone from a scalar a = -inf (``at_a`` is 0).
+        from_inf = a.ndim == 0 and a == -np.inf
+        ends = b[None] if from_inf else np.array(np.broadcast_arrays(a, b))
+        z = (ends - delta) / sigma12
+        fin_z = np.isfinite(z)
+        whole = fin_z.all()
+        z_f = z if whole else np.where(fin_z, z, 0.0)
+
+        def at_a(v):
+            return 0.0 if from_inf else v[0]
 
         def bound_terms(bound, finite, z1, at_inf):
-            """Phi(alpha + beta z) at za and zb, and the cross integrals of
+            """Phi(alpha + beta z) at the ends, and the cross integrals of
             z phi R and z^2 phi R of one truncation bound, standardized
             to z1. A bound infinite for every element is skipped."""
             if not finite:
-                return at_inf, at_inf, 0.0, 0.0
-            fin = np.isfinite(bound)
-            alpha_f = np.where(fin, (bound - delta) / s, 0.0)
-            g_a = np.where(fin, ndtr(alpha_f + beta * za_f), at_inf)
-            g_b = np.where(fin, ndtr(alpha_f + beta * zb_f), at_inf)
-            shift = beta * alpha_f / r
+                return at_inf, 0.0, 0.0
+            alpha = (bound - delta) / s
+            g = ndtr(alpha + beta * z_f)
+            if finite < bound.size:  # some elements lack this bound
+                fin = np.isfinite(bound)
+                alpha, g = np.where(fin, alpha, 0.0), np.where(fin, g, at_inf)
+            shift = beta * alpha / r
             # w = r*z + shift, infinite where z is
-            w_a, w_b = (np.where(np.isfinite(z), r * z_f + shift, z)
-                        for z, z_f in ((za, za_f), (zb, zb_f)))
-            phi_bound, dw = norm_pdf(z1), ndtr(w_b) - ndtr(w_a)
-            cross1 = phi_bound * dw
-            cross2 = 0.0
-            if order == 2:
-                cross2 = phi_bound * (norm_pdf(w_a) - norm_pdf(w_b)
-                                      - shift * dw)
-            return g_a, g_b, cross1, cross2
+            w = r * z_f + shift if whole else np.where(fin_z, r * z_f + shift, z)
+            phi_bound, cdf_w = norm_pdf(z1), ndtr(w)
+            dw = cdf_w[-1] - at_a(cdf_w)
+            if order == 1:
+                return g, phi_bound * dw, 0.0
+            pdf_w = norm_pdf(w)
+            return g, phi_bound * dw, phi_bound * (at_a(pdf_w) - pdf_w[-1]
+                                                   - shift * dw)
 
-        gu_a, gu_b, cu1, cu2 = bound_terms(self.upper, self.up, self.b1, 1.0)
-        gl_a, gl_b, cl1, cl2 = bound_terms(self.lower, self.low, self.a1, 0.0)
-        r_a = norm_pdf(za) * (gu_a - gl_a)
-        r_b = norm_pdf(zb) * (gu_b - gl_b)
-        j1 = r_a - r_b + (beta / r) * (cu1 - cl1)
+        gu, cu1, cu2 = bound_terms(self.upper, self.up, self.b1, 1.0)
+        gl, cl1, cl2 = bound_terms(self.lower, self.low, self.a1, 0.0)
+        r_z = norm_pdf(z) * (gu - gl)
+        j1 = at_a(r_z) - r_z[-1] + (beta / r) * (cu1 - cl1)
 
         cdf_term = np.subtract(cdf_b, cdf_a)
         with np.errstate(divide="ignore", invalid="ignore"):
             outs = [delta * cdf_term + sigma12 * j1 / self.den]
             if order == 2:
-                j2 = za_f * r_a - zb_f * r_b + (beta / (r * r)) * (cu2 - cl2)
+                j2 = (at_a(z_f) * at_a(r_z) - z_f[-1] * r_z[-1]
+                      + (beta / (r * r)) * (cu2 - cl2))
                 outs.append(delta * (outs[0] + sigma12 * j1 / self.den)
                             + sigma12 * sigma12 * (cdf_term + j2 / self.den))
         if self.any_deep:
@@ -334,7 +344,7 @@ class CondLaw:
 def flat_broadcast(*arrays):
     """Broadcast shape plus each argument broadcast and flattened to 1-D."""
     broad = np.broadcast_arrays(*[np.asarray(a, dtype=float) for a in arrays])
-    return broad[0].shape, [np.atleast_1d(b).ravel() for b in broad]
+    return broad[0].shape, [b.ravel() for b in broad]
 
 
 def probit_newton(f, x, q, sign, step, xtol):
@@ -357,7 +367,7 @@ def probit_newton(f, x, q, sign, step, xtol):
     """
     x = np.array(x, dtype=float)
     zq = ndtri(q)
-    step, xtol = (np.broadcast_to(v, x.shape) for v in (step, xtol))
+    step, xtol = np.broadcast_arrays(step, xtol, x)[:2]
     lo = np.full(x.shape, -np.inf)
     hi = np.full(x.shape, np.inf)
     last = np.full(x.shape, np.inf)

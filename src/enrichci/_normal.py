@@ -2,7 +2,8 @@
 
 All functions broadcast over numpy arrays and accept +/-inf arguments
 where a limit exists. ``bvn_cdf`` makes one ``owens_t`` call for both
-terms of every entry and takes its den -> 0 and infinite limits by index.
+terms of every entry and takes its den -> 0 and infinite limits by index,
+only where some entry needs them. ``norm_prob_range`` evaluates one form.
 """
 
 import numpy as np
@@ -20,14 +21,13 @@ def norm_prob_range(a, b):
     """P(a < Z < b) for standard normal Z, stable in either tail.
 
     When both endpoints sit in the upper tail the complementary form
-    Phi(-a) - Phi(-b) avoids the 1 - 1 cancellation of the direct form.
+    Phi(-a) - Phi(-b) avoids the 1 - 1 cancellation of the direct form;
+    each element evaluates only the form it returns.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    upper_tail = (a > 0.0)
-    direct = ndtr(b) - ndtr(a)
-    flipped = ndtr(-a) - ndtr(-b)
-    return np.maximum(np.where(upper_tail, flipped, direct), 0.0)
+    flip = a > 0.0
+    return np.maximum(ndtr(np.where(flip, -a, b)) - ndtr(np.where(flip, -b, a)), 0.0)
 
 
 def log_norm_prob_range(a, b):
@@ -77,10 +77,10 @@ def bvn_cdf(h, k, rho):
         t[at] = np.sign(num[at]) * 0.5 * ndtr(-np.abs(x[at]))
     phi = ndtr(x)
     prod = x[0] * x[1]
-    below = (prod < 0.0) | ((prod == 0.0) & (x[0] + x[1] < 0.0))
-    core = 0.5 * (phi[0] + phi[1]) - t[0] - t[1] - 0.5 * below
+    core = 0.5 * (phi[0] + phi[1]) - t[0] - t[1] - 0.5 * (prod < 0.0)
     if not prod.all():
-        # Both coordinates at the origin: closed form.
+        # On an axis the other coordinate decides; at the origin, closed form.
+        core = core - 0.5 * ((prod == 0.0) & (x[0] + x[1] < 0.0))
         origin = (x[0] == 0.0) & (x[1] == 0.0)
         core = np.where(origin, 0.25 + np.arcsin(rho) / (2.0 * np.pi), core)
     core = np.minimum(np.maximum(core, 0.0), 1.0)

@@ -11,7 +11,9 @@ endpoints. Each iteration evaluates the conditional law once, as one
 ``_kernels.CondLaw`` at all the points it needs. Elements that fail to
 converge, or whose CDF slope disagrees with its density next to the
 solution, are reported through an ``ok`` mask; the check starts from the
-solver's last evaluated point, whose F the solver already has.
+solver's last evaluated point, whose F the solver already has (a umau
+endpoint whose last step moved it over 0.1 h: from the returned point).
+tost's moments from -inf take no lower-end terms (``partial_moments``).
 """
 
 import numpy as np
@@ -58,19 +60,18 @@ def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
         law = CondLaw(delta0[idx], sigma1[idx], sigma2[idx], lower[idx],
                       upper[idx])
         a, b = c1[idx], c2[idx]
-        fa, fb = law.cdf(np.stack([a, b]))
+        fa, fb = law.cdf(np.array([a, b]))
         g1 = fb - fa - beta
         g2 = law.partial_moments(a, b, fa, fb)[0] - target[idx]
         conv = (np.abs(g1) <= tol) & (np.abs(g2) <= tol2[idx])
-        pa, pb = law.pdf(np.stack([a, b]))
+        pa, pb = law.pdf(np.array([a, b]))
         det = pa * pb * (a - b)
         bad = ~np.isfinite(det) | (det == 0.0) | ~np.isfinite(g1) | ~np.isfinite(g2)
         det = np.where(det == 0.0, 1.0, det)
         with np.errstate(divide="ignore", invalid="ignore"):
             da = (-b * pb * g1 + pb * g2) / det
             db = (-a * pa * g1 + pa * g2) / det
-        da = np.clip(da, -max_step[idx], max_step[idx])
-        db = np.clip(db, -max_step[idx], max_step[idx])
+        da, db = np.minimum(np.maximum([da, db], -max_step[idx]), max_step[idx])
         frozen = conv | bad
         a_new = np.where(frozen, a, a + da)
         b_new = np.where(frozen, b, b + db)
@@ -120,22 +121,23 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
     a stall, or on a plain step (not clipped or halved) after another whose
     quadratic error estimate is below that, without a confirming law
     evaluation (``_newton_settled``). The slope check starts from the
-    delta, cut and CDF values of an element's last iteration. Returns
-    (lower, upper, ok).
+    delta, cut and CDF values of an element's last iteration, or from the
+    returned point (one more law) where the last step moved delta or the
+    cut over 0.1 h, h = 1e-4 of the law's sd. Returns (lower, upper, ok).
     """
     shape, (observed, sigma1, sigma2, lower, upper) = flat_broadcast(
         observed, sigma1, sigma2, lower, upper)
     n = observed.size
     if seeds is None:
         seeds = batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper)
-    delta = np.where(np.tile(np.ravel(seeds[2]), 2).astype(bool),
+    delta = np.where(np.concatenate([np.ravel(seeds[2])] * 2).astype(bool),
                      np.concatenate([np.ravel(s) for s in seeds[:2]]),
                      np.concatenate(batch_naive_ci(observed, alpha, sigma1,
                                                    sigma2)))
     # side -1: the lower endpoints (c below the observation); +1: the upper.
-    side = np.repeat([-1.0, 1.0], n)
+    side = np.array([-1.0, 1.0]).repeat(n)
     x, sigma1, sigma2, lower, upper = (
-        np.tile(v, 2) for v in (observed, sigma1, sigma2, lower, upper))
+        np.concatenate([v, v]) for v in (observed, sigma1, sigma2, lower, upper))
     beta = 1.0 - alpha
     law = CondLaw(delta, sigma1, sigma2, lower, upper)
     sigma12, spread = law.sigma12, np.sqrt(law.var)
@@ -152,9 +154,10 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
         d, cc, xo, sd, s12 = (v[idx] for v in (delta, c, x, side, sigma12))
         if it:
             law = CondLaw(d, sigma1[idx], sigma2[idx], lower[idx], upper[idx])
-        f_c, f_x = law.cdf(np.stack([cc, xo]))
-        a, b = np.where(sd < 0, [cc, xo], [xo, cc])
-        f_a, f_b = np.where(sd < 0, [f_c, f_x], [f_x, f_c])
+        pts = np.array([cc, xo])
+        f_c, f_x = f = law.cdf(pts)
+        a, b = np.where(sd < 0, pts, pts[::-1])
+        f_a, f_b = np.where(sd < 0, f, f[::-1])
         m1, m2 = law.partial_moments(a, b, f_a, f_b, order=2)
         mean, var, spread = law.mean, law.var, np.sqrt(law.var)
         prob = f_b - f_a
@@ -170,7 +173,7 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
             step_c = (j11 * g2 - j21 * g1) / (den * sd * law.pdf(cc))
         finite = np.isfinite(step_d) & np.isfinite(step_c)
         size, full = np.abs(step_d), np.maximum(np.abs(step_d), np.abs(step_c))
-        c_new = cc - np.clip(step_c, -spread, spread)
+        c_new = cc - np.minimum(np.maximum(step_c, -spread), spread)
         # A cut that crosses the observation moves halfway towards it.
         uncrossed = sd * (c_new - xo) > 0.0
         plain = np.where(uncrossed & (size <= s12) & (np.abs(step_c) <= spread),
@@ -184,9 +187,9 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
         settled, last_plain[idx] = _newton_settled(
             plain, last_plain[idx], 1e-11 * s12), plain
         conv = finite & (stalled | settled | (full <= 1e-11 * s12))
-        delta[idx[finite]] = (d - np.clip(step_d, -s12, s12))[finite]
+        delta[idx[finite]] = (d - np.minimum(np.maximum(step_d, -s12), s12))[finite]
         c[idx[finite]] = c_new[finite]
-        checked[:, idx[conv]] = np.stack([d, cc, f_c, f_x])[:, conv]
+        checked[:, idx[conv]] = np.array([d, cc, f_c, f_x])[:, conv]
         ok[idx[conv]] = True
         idx = idx[finite & ~conv]
 
@@ -194,7 +197,14 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
     d, cc, f_c, f_x = checked[:, idx]
     law = CondLaw(d, sigma1[idx], sigma2[idx], lower[idx], upper[idx])
     ok[idx] = np.all(_slope_matches_density(
-        law, np.stack([cc, x[idx]]), np.stack([f_c, f_x])), axis=0)
+        law, np.array([cc, x[idx]]), np.array([f_c, f_x])), axis=0)
+    # A last step over 0.1 h (1e-5 sd) away: check the returned point.
+    at = idx[np.maximum(np.abs(delta[idx] - d), np.abs(c[idx] - cc))
+             > 1e-5 * np.sqrt(law.var)]
+    if at.size:
+        law = CondLaw(delta[at], sigma1[at], sigma2[at], lower[at], upper[at])
+        pts = np.array([c[at], x[at]])
+        ok[at] = np.all(_slope_matches_density(law, pts, law.cdf(pts)), axis=0)
     ok = ok[:n] & ok[n:]
     return delta[:n].reshape(shape), delta[n:].reshape(shape), ok.reshape(shape)
 
@@ -211,8 +221,8 @@ def batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper):
     """
     shape, flat = flat_broadcast(observed, sigma1, sigma2, lower, upper)
     n = flat[0].size
-    q = np.repeat([1.0 - 0.5 * alpha, 0.5 * alpha], n)
-    observed, sigma1, sigma2, lower, upper = (np.tile(a, 2) for a in flat)
+    q = np.array([1.0 - 0.5 * alpha, 0.5 * alpha]).repeat(n)
+    observed, sigma1, sigma2, lower, upper = (np.concatenate([a, a]) for a in flat)
     sigma12 = pooled_sd(sigma1, sigma2)
     checked = np.empty((2, 2 * n))  # delta and F(observed), last evaluated
 

@@ -202,6 +202,35 @@ class TestSlopeCheck:
         assert not np.any(batch_ctost_ci(observed, *args)[2])
         assert not np.any(batch_umau_ci(observed, *args, seeds=seeds)[2])
 
+    def test_umau_checks_the_law_at_the_returned_delta(self, monkeypatch):
+        # At sigma1/sigma2 = 0.01 one endpoint's last joint Newton step
+        # moves it more than 0.1 h (h = 1e-4 of the law's sd) from the
+        # point of its last law evaluation, where the check starts.
+        lower, upper = _bounds(0.01, "one-sided")
+        args = (0.05, 0.01, 1.0, lower, upper)
+        observed = _plausible_observations(0.01, 1.0, lower, upper)
+        seeds = batch_ctost_ci(observed, *args)
+        checks = []  # per check: {(observation, lower side): (delta, h)}
+        check = batch._slope_matches_density
+
+        def spy(law, at, cdf):
+            h = 1e-4 * np.sqrt(law.var)
+            checks.append({(x, c < x): (d, step) for d, step, c, x
+                           in zip(law.delta, h, *at)})
+            return check(law, at, cdf)
+
+        monkeypatch.setattr(batch, "_slope_matches_density", spy)
+        lo, hi, ok = batch_umau_ci(observed, *args, seeds=seeds)
+        assert np.count_nonzero(ok) >= 11
+        returned = {**{(x, True): d for x, d in zip(observed, lo)},
+                    **{(x, False): d for x, d in zip(observed, hi)}}
+        last = {k: v for found in checks for k, v in found.items()}
+        moved = 0
+        for key, (first, h) in checks[0].items():  # converged endpoints
+            moved += abs(first - returned[key]) > 0.1 * h
+            assert abs(last[key][0] - returned[key]) <= 0.1 * h, key
+        assert moved == 1
+
 
 class TestTostAtSmallRatios:
     """sigma1/sigma2 of 0.01 and 0.02: tost converges on every plausible

@@ -20,7 +20,8 @@ import pytest
 
 from enrichci import _kernels, _normal
 from enrichci._kernels import CondLaw
-from enrichci._normal import bvn_cdf, norm_pdf
+from enrichci._normal import bvn_cdf, norm_pdf, norm_prob_range
+from scipy.special import ndtr
 
 DATA = Path(__file__).resolve().parent / "data" / "bvn-cdf.json"
 H = [-math.inf, -8.5, -1.3, -1e-310, 0.0, 1e-310, 0.4, 1.0, 3.7, math.inf]
@@ -224,6 +225,94 @@ class TestNonFiniteArguments:
             assert np.array_equal(law.logpdf(ends), [-np.inf, -np.inf])
         got = law.logpdf(np.array([np.nan, np.inf, 0.7]))
         assert np.isnan(got[0]) and got[2] == law.logpdf(0.7)
+
+
+def _both_forms(a, b):
+    """``norm_prob_range`` with both of its forms evaluated everywhere, then
+    one chosen per element: the reference for the single-form evaluation."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    direct = ndtr(b) - ndtr(a)
+    flipped = ndtr(-a) - ndtr(-b)
+    return np.maximum(np.where(a > 0.0, flipped, direct), 0.0)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64))
+
+
+class TestSkippedBookkeeping:
+    """Steps skipped where no element needs them give, bit for bit, what
+    the general path gives on inputs that force it: each form of
+    ``norm_prob_range`` only where it is returned; ``partial_moments``
+    without the terms of a scalar a = -inf, and without the guards on
+    infinite points; ``CondLaw.cdf`` without its limits at x = +/-inf."""
+
+    # Without its limits, the CDF at +inf is 1 - 2e-16 on the lower-only
+    # and two-sided laws, and at -inf 1e-30 on the deep one.
+    GEOMETRIES = {"lower-only": (0.6, np.inf), "upper-only": (-np.inf, 1.0),
+                  "two-sided": (0.4, 0.9), "untruncated": (-np.inf, np.inf),
+                  "deep": (3.9, np.inf), "deep-two-sided": (5.0, 5.5)}
+    MIXED = (np.array([0.6, -np.inf, 0.4, -np.inf, 3.9, 5.0]),
+             np.array([np.inf, 1.0, 0.9, np.inf, np.inf, 5.5]))
+
+    def laws(self):
+        for name, (lower, upper) in self.GEOMETRIES.items():
+            law = CondLaw(0.0, 1.0, 0.8, lower, upper)
+            centre, sd = float(law.mean), math.sqrt(float(law.var))
+            yield name, law, centre + sd * np.linspace(-2.5, 2.5, 7)
+        law = CondLaw(0.0, 1.0, 0.8, *self.MIXED)
+        yield "mixed", law, law.mean + np.sqrt(law.var) * np.linspace(
+            -2.5, 2.5, 7)[:, None]
+
+    def test_norm_prob_range_one_form(self):
+        rng = np.random.default_rng(17)
+        a = rng.normal(0.0, 4.0, 4000)
+        b = a + rng.exponential(1.0, 4000)
+        ends = [-np.inf, -1.5, 0.0, 0.7, 40.0, np.inf, np.nan]
+        a_edge, b_edge = (v.ravel() for v in np.meshgrid(ends, ends))
+        a, b = np.concatenate([a, a_edge]), np.concatenate([b, b_edge])
+        assert np.any(a == b) and np.isnan(a).any()  # a = b and NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _same_bits(norm_prob_range(a, b), _both_forms(a, b))
+            for pair in zip(a_edge, b_edge):
+                assert _same_bits(norm_prob_range(*pair), _both_forms(*pair))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_partial_moments_from_minus_infinity(self, order):
+        for name, law, b in self.laws():
+            minus_inf = np.full(b.shape, -np.inf)
+            want = law.partial_moments(minus_inf, b, order=order)
+            got = law.partial_moments(-np.inf, b, order=order)
+            assert len(got) == order
+            for g, w in zip(got, want):
+                assert _same_bits(g, w), name
+            # As tost calls it, with the CDF at both ends given.
+            f = law.cdf(b)
+            for g, w in zip(law.partial_moments(-np.inf, b, 0.0, f, order),
+                            law.partial_moments(minus_inf, b, 0.0, f, order)):
+                assert _same_bits(g, w), name
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_partial_moments_at_finite_ends(self, order):
+        # One (-inf, inf) pair appended forces the guards on infinite ends.
+        for name, law, b in self.laws():
+            a, inf = b - 0.5, np.full((1, *b.shape[1:]), np.inf)
+            got = law.partial_moments(a, b, order=order)
+            want = law.partial_moments(np.concatenate([a, -inf]),
+                                       np.concatenate([b, inf]), order=order)
+            for g, w in zip(got, want):
+                assert _same_bits(g, w[:len(b)]), name
+
+    def test_cdf_at_finite_points(self):
+        for name, law, x in self.laws():
+            for end, limit in ((np.inf, 1.0), (-np.inf, 0.0)):
+                tail = np.full((1, *x.shape[1:]), end)
+                got = law.cdf(np.concatenate([x, tail]))
+                assert _same_bits(got[:len(x)], law.cdf(x)), name
+                assert np.all(got[len(x):] == limit), name
 
 
 class TestBadCorrelation:
