@@ -2,89 +2,22 @@
 
 Each element carries its own geometry (``sigma1``, ``sigma2`` and the
 bounds) and observation, so all targets of a trial, or all replicates of
-a scenario, are solved at once: damped Newton for the two moment
-constraints of the acceptance region, a joint Newton in the effect and
-cut from a closed-form start for the umau endpoints (stopping on its
-quadratic error estimate where that is below tolerance), and a safeguarded
-Newton on the probit scale (``_kernels.probit_newton``) for the tost
-endpoints. Each iteration evaluates the conditional law once, as one
-``_kernels.CondLaw`` at all the points it needs. Elements that fail to
-converge, or whose CDF slope disagrees with its density next to the
-solution, are reported through an ``ok`` mask; the check starts from the
-solver's last evaluated point, whose F the solver already has (a umau
-endpoint whose last step moved it over 0.1 h: from the returned point).
-tost's moments from -inf take no lower-end terms (``partial_moments``).
+a scenario, are solved at once. One joint Newton on the UMPU equations
+(``_umpu_newton``) gives both the acceptance region at a given effect and
+the umau endpoints, from closed-form starts; a safeguarded Newton on the
+probit scale (``_kernels.probit_newton``) gives the tost endpoints. Each
+iteration evaluates the conditional law once, as one ``_kernels.CondLaw``
+at all the points it needs. Elements that fail to converge, or whose CDF
+slope disagrees with its density next to the solution, are reported
+through an ``ok`` mask; the check starts from the solver's last evaluated
+point, whose F the solver already has. tost's moments from -inf take no
+lower-end terms (``partial_moments``).
 """
 
 import numpy as np
 from scipy.special import ndtri
 
-from ._kernels import (
-    CondLaw,
-    cond_quantile,
-    flat_broadcast,
-    pooled_sd,
-    probit_newton,
-)
-
-
-def batch_solve_umpu(delta0, alpha, sigma1, sigma2, lower, upper,
-                     c1=None, c2=None, max_iter=60, tol=1e-10):
-    """Solve the size and first-moment constraints for the acceptance region.
-
-    Returns (c1, c2, ok). A warm start passes both cuts through
-    ``c1``/``c2``; without one, the cuts start at the equal-tailed
-    quantiles.
-    """
-    if (c1 is None) != (c2 is None):
-        raise ValueError("a warm start needs both cuts, c1 and c2")
-    shape, (delta0, sigma1, sigma2, lower, upper) = flat_broadcast(
-        delta0, sigma1, sigma2, lower, upper)
-    if c1 is None:
-        tails = [[0.5 * alpha], [1.0 - 0.5 * alpha]]
-        c1, c2 = cond_quantile(tails, delta0, sigma1, sigma2, lower, upper)
-    c1, c2 = (np.array(np.broadcast_to(c, delta0.shape), dtype=float)
-              for c in (c1, c2))
-
-    law = CondLaw(delta0, sigma1, sigma2, lower, upper)
-    sigma12, mean, beta = law.sigma12, law.mean, 1.0 - alpha
-    target = beta * mean
-    tol2 = tol * (sigma12 + np.abs(mean))
-    max_step = 3.0 * sigma12
-
-    ok = np.zeros(delta0.shape, dtype=bool)
-    idx = np.arange(delta0.size)
-    for _ in range(max_iter):
-        if idx.size == 0:
-            break
-        law = CondLaw(delta0[idx], sigma1[idx], sigma2[idx], lower[idx],
-                      upper[idx])
-        a, b = c1[idx], c2[idx]
-        fa, fb = law.cdf(np.array([a, b]))
-        g1 = fb - fa - beta
-        g2 = law.partial_moments(a, b, fa, fb)[0] - target[idx]
-        conv = (np.abs(g1) <= tol) & (np.abs(g2) <= tol2[idx])
-        pa, pb = law.pdf(np.array([a, b]))
-        det = pa * pb * (a - b)
-        bad = ~np.isfinite(det) | (det == 0.0) | ~np.isfinite(g1) | ~np.isfinite(g2)
-        det = np.where(det == 0.0, 1.0, det)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            da = (-b * pb * g1 + pb * g2) / det
-            db = (-a * pa * g1 + pa * g2) / det
-        da, db = np.minimum(np.maximum([da, db], -max_step[idx]), max_step[idx])
-        frozen = conv | bad
-        a_new = np.where(frozen, a, a + da)
-        b_new = np.where(frozen, b, b + db)
-        # Keep the pair ordered; collapse toward the midpoint if crossed.
-        crossed = a_new >= b_new
-        mid = 0.5 * (a_new + b_new)
-        gap = 1e-6 * sigma12[idx]
-        a_new = np.where(crossed, mid - gap, a_new)
-        b_new = np.where(crossed, mid + gap, b_new)
-        c1[idx], c2[idx] = a_new, b_new
-        ok[idx[conv]] = True
-        idx = idx[~frozen]
-    return c1.reshape(shape), c2.reshape(shape), ok.reshape(shape)
+from ._kernels import CondLaw, flat_broadcast, pooled_sd, probit_newton
 
 
 def _slope_matches_density(law, at, cdf):
@@ -104,50 +37,44 @@ def _newton_settled(size, last, tol):
     return (size <= 1e-2 * last) & (size <= np.cbrt(tol) * np.cbrt(last)**2)
 
 
-def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
-    """Both endpoints of the exact-test inversion, per element.
-
-    At the lower endpoint (delta, c1) solves F(observed) - F(c1) = 1 - alpha
-    and M(c1, observed) = (1 - alpha) mu, with F, M and mu the conditional
-    CDF, partial first moment and mean at delta; the upper endpoint solves
-    the mirror system in (delta, c2). All endpoints run in one stacked 2x2
-    Newton iteration, whose derivatives in delta come from the
-    exponential-family identity d/d delta E[g(X)] = Cov(g(X), X) / sigma12^2.
-    It starts at the equal-tailed endpoint (``seeds``: a ``batch_ctost_ci``
-    result, solved here if not given) with c at the alpha/2 or 1 - alpha/2
-    normal quantile of the conditional law (or one conditional sd past the
-    observation). Steps are clipped to one pooled sd in delta and one
-    conditional sd in c. An element stops on a step below 1e-11 sigma12, on
-    a stall, or on a plain step (not clipped or halved) after another whose
-    quadratic error estimate is below that, without a confirming law
-    evaluation (``_newton_settled``). The slope check starts from the
-    delta, cut and CDF values of an element's last iteration, or from the
-    returned point (one more law) where the last step moved delta or the
-    cut over 0.1 h, h = 1e-4 of the law's sd. Returns (lower, upper, ok).
+def _umpu_newton(delta, x, side, alpha, sigma1, sigma2, lower, upper):
+    """Solve the UMPU equations G1 = F(b) - F(a) - beta = 0 and G2 = M1(a, b)
+    - beta mu = 0 (Fithian, Sun & Taylor, arXiv:1410.2597), beta = 1 - alpha,
+    with F, M1 and mu the conditional CDF, partial first moment and mean at
+    delta, on [a, b] = [c, x] (``side`` -1) or [x, c] (+1), for all flat
+    elements in one stacked 2x2 Newton iteration. Each element pins the cut
+    x and solves for (delta, c) or, if x is None, pins delta and solves for
+    (x, c) from x = mean - z sd (sd the law's, z = ndtri(1 - alpha/2)); c
+    starts at mean + side z sd, or one sd past x. delta's Jacobian column
+    comes from d/d delta E[g(X)] = Cov(g(X), X) / sigma12^2, a cut t's is
+    -/+f(t) (1, t). Steps are clipped to one pooled sd in delta and one law
+    sd in a cut, a c that crosses x moves halfway towards it, and a step
+    that is not finite fails the element. With delta pinned the law, and so
+    the clips, stay fixed: an element's clips halve whenever a clipped step
+    turns back (it could 2-cycle across a steep bound), and a step that is
+    not finite (a start may lie where the law has no density) moves both
+    cuts halfway towards the mean. An element stops on steps below 1e-11
+    sigma12, on a stall of the first, or on a plain step (not clipped or
+    halved) after another whose quadratic error estimate is below that
+    (``_newton_settled``). The slope check starts from an element's last
+    iteration, or from the returned point (one more law) where the last step
+    moved an unknown over 0.1 h, h = 1e-4 of the law's sd. Returns (delta,
+    c, x, ok).
     """
-    shape, (observed, sigma1, sigma2, lower, upper) = flat_broadcast(
-        observed, sigma1, sigma2, lower, upper)
-    n = observed.size
-    if seeds is None:
-        seeds = batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper)
-    delta = np.where(np.concatenate([np.ravel(seeds[2])] * 2).astype(bool),
-                     np.concatenate([np.ravel(s) for s in seeds[:2]]),
-                     np.concatenate(batch_naive_ci(observed, alpha, sigma1,
-                                                   sigma2)))
-    # side -1: the lower endpoints (c below the observation); +1: the upper.
-    side = np.array([-1.0, 1.0]).repeat(n)
-    x, sigma1, sigma2, lower, upper = (
-        np.concatenate([v, v]) for v in (observed, sigma1, sigma2, lower, upper))
-    beta = 1.0 - alpha
+    n, beta, pin_delta = delta.size, 1.0 - alpha, x is None
     law = CondLaw(delta, sigma1, sigma2, lower, upper)
     sigma12, spread = law.sigma12, np.sqrt(law.var)
-    c = law.mean + side * ndtri(1.0 - 0.5 * alpha) * spread
+    z = ndtri(1.0 - 0.5 * alpha) * spread
+    x = law.mean - z if pin_delta else x
+    c = law.mean + side * z
     c = np.where(side * (c - x) > 0.0, c, x + side * spread)
+    free = x if pin_delta else delta  # the unknown besides c, set in place
 
-    last_step, last_plain = np.full(2 * n, np.inf), np.full(2 * n, np.nan)
-    checked = np.empty((4, 2 * n))  # delta, c, F(c), F(x) where converged
-    ok = np.zeros(2 * n, dtype=bool)
-    idx = np.arange(2 * n)
+    last_step, last_plain = np.full(n, np.inf), np.full(n, np.nan)
+    trust, prev = np.ones(n), np.zeros((2, n))  # prev: last step signs
+    checked = np.empty((5, n))  # delta, c, x, F(c), F(x) where converged
+    ok = np.zeros(n, dtype=bool)
+    idx = np.arange(n)
     for it in range(50):
         if idx.size == 0:
             break
@@ -162,23 +89,35 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
         mean, var, spread = law.mean, law.var, np.sqrt(law.var)
         prob = f_b - f_a
         g1, g2 = prob - beta, m1 - beta * mean
-        # Jacobian: d/d delta from the covariance identity; d/dc of G1 and
-        # G2 are side * f(c) and side * c * f(c), whose common factor
-        # cancels from the delta step.
-        j11 = (m1 - prob * mean) / s12**2
-        j21 = (m2 - m1 * mean - beta * var) / s12**2
+        # Jacobian: the column of delta, or of x, then c's, side * f(c) *
+        # (1, c), whose scale cancels from the first step.
+        if pin_delta:
+            j11 = -sd * law.pdf(xo)
+            j21 = j11 * xo
+        else:
+            j11 = (m1 - prob * mean) / s12**2
+            j21 = (m2 - m1 * mean - beta * var) / s12**2
         den = j11 * cc - j21
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step_d = (g1 * cc - g2) / den
-            step_c = (j11 * g2 - j21 * g1) / (den * sd * law.pdf(cc))
-        finite = np.isfinite(step_d) & np.isfinite(step_c)
-        size, full = np.abs(step_d), np.maximum(np.abs(step_d), np.abs(step_c))
-        c_new = cc - np.minimum(np.maximum(step_c, -spread), spread)
-        # A cut that crosses the observation moves halfway towards it.
-        uncrossed = sd * (c_new - xo) > 0.0
-        plain = np.where(uncrossed & (size <= s12) & (np.abs(step_c) <= spread),
-                         full, np.nan)
-        c_new = np.where(uncrossed, c_new, 0.5 * (cc + xo))
+            steps = np.array([(g1 * cc - g2) / den, (j11 * g2 - j21 * g1)
+                              / (den * sd * law.pdf(cc))])
+        finite = np.logical_and.reduce(np.isfinite(steps))
+        size, full = np.abs(steps[0]), np.maximum.reduce(np.abs(steps))
+        reach = np.array([spread if pin_delta else s12, spread])
+        if pin_delta:
+            steps = np.where(finite, steps, 0.5 * (pts[::-1] - mean))
+            turned = ((np.abs(steps) > reach * trust[idx])
+                      & (steps * prev[:, idx] < 0.0)).any(axis=0)
+            trust[idx] /= 1.0 + turned
+            prev[:, idx], reach = np.sign(steps), reach * trust[idx]
+        plain = finite & np.logical_and.reduce(np.abs(steps) <= reach)
+        moved, c_new = (np.array([xo if pin_delta else d, cc])
+                        - np.minimum(np.maximum(steps, -reach), reach))
+        x_new = moved if pin_delta else xo
+        # A cut that crosses x moves halfway towards it.
+        uncrossed = sd * (c_new - x_new) > 0.0
+        plain = np.where(uncrossed & plain, full, np.nan)
+        c_new = np.where(uncrossed, c_new, 0.5 * (cc + x_new))
         # Converged (see above); a stall is a small step that no longer
         # shrinks because rounding in the residuals sets the floor (far
         # from the truncation the law barely depends on delta).
@@ -187,24 +126,60 @@ def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
         settled, last_plain[idx] = _newton_settled(
             plain, last_plain[idx], 1e-11 * s12), plain
         conv = finite & (stalled | settled | (full <= 1e-11 * s12))
-        delta[idx[finite]] = (d - np.minimum(np.maximum(step_d, -s12), s12))[finite]
-        c[idx[finite]] = c_new[finite]
-        checked[:, idx[conv]] = np.array([d, cc, f_c, f_x])[:, conv]
+        live = finite | pin_delta
+        free[idx] = np.where(live, moved, free[idx])
+        c[idx] = np.where(live, c_new, cc)
+        checked[:, idx[conv]] = np.array([d, cc, xo, f_c, f_x])[:, conv]
         ok[idx[conv]] = True
-        idx = idx[finite & ~conv]
+        idx = idx[live & ~conv]
 
     idx = np.flatnonzero(ok)
-    d, cc, f_c, f_x = checked[:, idx]
+    d, cc, xo, f_c, f_x = checked[:, idx]
     law = CondLaw(d, sigma1[idx], sigma2[idx], lower[idx], upper[idx])
     ok[idx] = np.all(_slope_matches_density(
-        law, np.array([cc, x[idx]]), np.array([f_c, f_x])), axis=0)
+        law, np.array([cc, xo]), np.array([f_c, f_x])), axis=0)
     # A last step over 0.1 h (1e-5 sd) away: check the returned point.
-    at = idx[np.maximum(np.abs(delta[idx] - d), np.abs(c[idx] - cc))
-             > 1e-5 * np.sqrt(law.var)]
+    moves = np.abs([delta[idx] - d, c[idx] - cc, x[idx] - xo])
+    at = idx[np.maximum.reduce(moves) > 1e-5 * np.sqrt(law.var)]
     if at.size:
         law = CondLaw(delta[at], sigma1[at], sigma2[at], lower[at], upper[at])
         pts = np.array([c[at], x[at]])
         ok[at] = np.all(_slope_matches_density(law, pts, law.cdf(pts)), axis=0)
+    return delta, c, x, ok
+
+
+def batch_solve_umpu(delta, alpha, sigma1, sigma2, lower, upper):
+    """Acceptance region (c1, c2, ok) of the two-sided conditional test at
+    ``delta``: ``_umpu_newton`` with delta pinned."""
+    shape, flat = flat_broadcast(delta, sigma1, sigma2, lower, upper)
+    _, c2, c1, ok = _umpu_newton(flat[0], None, np.ones(flat[0].size), alpha,
+                                 *flat[1:])
+    return c1.reshape(shape), c2.reshape(shape), ok.reshape(shape)
+
+
+def batch_umau_ci(observed, alpha, sigma1, sigma2, lower, upper, seeds=None):
+    """Both endpoints of the exact-test inversion, per element.
+
+    At the lower endpoint (delta, c1) solves the UMPU equations on the
+    acceptance region [c1, observed], at the upper one (delta, c2) on
+    [observed, c2]: one ``_umpu_newton`` over all endpoints, each pinning a
+    cut at the observation. delta starts at the equal-tailed endpoint
+    (``seeds``: a ``batch_ctost_ci`` result, solved here if not given).
+    Returns (lower, upper, ok).
+    """
+    shape, (observed, sigma1, sigma2, lower, upper) = flat_broadcast(
+        observed, sigma1, sigma2, lower, upper)
+    n = observed.size
+    if seeds is None:
+        seeds = batch_ctost_ci(observed, alpha, sigma1, sigma2, lower, upper)
+    delta = np.where(np.concatenate([np.ravel(seeds[2])] * 2).astype(bool),
+                     np.concatenate([np.ravel(s) for s in seeds[:2]]),
+                     np.concatenate(batch_naive_ci(observed, alpha, sigma1,
+                                                   sigma2)))
+    # side -1: the lower endpoints (c below the observation); +1: the upper.
+    delta, _, _, ok = _umpu_newton(
+        delta, np.concatenate([observed] * 2), np.array([-1.0, 1.0]).repeat(n),
+        alpha, *(np.concatenate([v, v]) for v in (sigma1, sigma2, lower, upper)))
     ok = ok[:n] & ok[n:]
     return delta[:n].reshape(shape), delta[n:].reshape(shape), ok.reshape(shape)
 

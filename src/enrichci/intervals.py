@@ -62,7 +62,7 @@ def solve_umpu(model: ConditionalNormal, alpha: float) -> CriticalPair:
     """Critical pair (c1, c2) of the two-sided conditional test at ``model.delta``.
 
     A size-1 call of the batch Newton solve on the two defining
-    constraints; raises ``NumericalError`` if it does not converge.
+    constraints; raises ``NumericalError`` where its ``ok`` mask is False.
     """
     _check_alpha_umau(alpha)
     c1, c2, ok = batch.batch_solve_umpu(

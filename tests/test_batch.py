@@ -132,28 +132,8 @@ def _solve_umpu_bracketed(model: ConditionalNormal, alpha: float) -> CriticalPai
     return CriticalPair(c1, upper_cut(c1))
 
 
-def _critical_value(delta, alpha, sigma1, sigma2, lower, upper, side, warm,
-                    tol):
-    """C1 (side='upper') or C2 (side='lower') at ``delta``, warm-started."""
-    c1, c2, ok = batch_solve_umpu(
-        delta, alpha, sigma1, sigma2, lower, upper, c1=warm[0], c2=warm[1],
-        tol=tol,
-    )
-    bad = ~ok
-    if bad.any():
-        # Cold restart from equal-tail quantiles for stragglers.
-        c1b, c2b, ok2 = batch_solve_umpu(
-            delta[bad], alpha, sigma1, sigma2, lower[bad], upper[bad], tol=tol
-        )
-        c1[bad], c2[bad] = c1b, c2b
-        ok[bad] = ok2
-    warm[0], warm[1] = c1, c2
-    val = c2 if side == "lower" else c1
-    return val, ok
-
-
 def nested_umau_endpoint(observed, alpha, sigma1, sigma2, lower, upper, side,
-                         center, xatol=1e-12, newton_tol=1e-11):
+                         center, xatol=1e-12):
     """Reference endpoint: a Chandrupatla root in delta of C2(delta) =
     observed (lower) or C1(delta) = observed (upper), where each evaluation
     solves the acceptance pair by Newton. ``center`` seeds a bracket of
@@ -163,16 +143,12 @@ def nested_umau_endpoint(observed, alpha, sigma1, sigma2, lower, upper, side,
         observed, lower, upper, center
     )
     sigma12 = pooled_sd(sigma1, sigma2)
-    warm = [observed - 2.0 * sigma12, observed + 2.0 * sigma12]
 
     def excess(delta, i):
-        sub = [warm[0][i], warm[1][i]]
-        val, ok = _critical_value(
-            delta, alpha, sigma1, sigma2, lower[i], upper[i], side, sub,
-            tol=newton_tol,
-        )
-        warm[0][i], warm[1][i] = sub
-        return np.where(ok, val - observed[i], np.nan)
+        c1, c2, ok = batch_solve_umpu(delta, alpha, sigma1, sigma2, lower[i],
+                                      upper[i])
+        return np.where(ok, (c2 if side == "lower" else c1) - observed[i],
+                        np.nan)
 
     root, ok = monotone_root(
         excess, center - 0.75 * sigma12, center + 0.75 * sigma12,
@@ -241,10 +217,29 @@ class TestBatchSolveUmpu:
         c1, c2, ok = batch_solve_umpu(0.3, 0.05, 1.0, 1.0, 0.0, np.inf)
         assert np.shape(c1) == () and bool(ok)
 
-    @pytest.mark.parametrize("warm", ["c1", "c2"])
-    def test_lone_warm_start_rejected(self, warm):
-        with pytest.raises(ValueError, match="both cuts"):
-            batch_solve_umpu(0.0, 0.05, 1.0, 1.0, 0.5, np.inf, **{warm: 0.6})
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+    def test_geometry_edges_meet_their_equations(self, alpha):
+        # Effects every 0.1 sigma12 in [-6, 6] at sigma1/sigma2 from 0.01 to
+        # 10, on deep and shallow, one- and two-sided bounds (in sigma1
+        # units). At sigma1/sigma2 <= 0.02 the start, mean -/+ z sd, can lie
+        # where the law has no density (alpha 0.01 and 0.05), and clipped
+        # cut steps would 2-cycle across a steep bound at a fixed clip
+        # (alpha 0.01 and 0.2).
+        s1, lower, upper, delta = np.array([
+            (r, lo * r, up * r, t * pooled_sd(r, 1.0))
+            for r in (0.01, 0.02, 0.05, 0.1, 0.2, 1.0, 10.0)
+            for lo, up in ((3.0, np.inf), (3.0, 3.5), (0.0, np.inf),
+                           (-np.inf, 0.5))
+            for t in np.linspace(-6.0, 6.0, 121)]).T
+        c1, c2, ok = batch_solve_umpu(delta, alpha, s1, 1.0, lower, upper)
+        assert bool(np.all(ok))
+        law = CondLaw(delta, s1, 1.0, lower, upper)
+        f1, f2 = law.cdf(np.array([c1, c2]))
+        assert np.max(np.abs(f2 - f1 - (1.0 - alpha))) <= 1e-10
+        moment = (law.partial_moments(c1, c2, f1, f2)[0]
+                  - (1.0 - alpha) * law.mean)
+        assert bool(np.all(np.abs(moment)
+                           <= 1e-10 * (law.sigma12 + np.abs(law.mean))))
 
 
 class TestBatchIntervals:
@@ -814,10 +809,10 @@ class TestOneEvaluationPerIteration:
         assert (tost, umau) == ((1949, 2134, 12), (2968, 1691, 9))
 
     def test_batch_solve_umpu(self, counts, args):
-        ok = batch_solve_umpu(np.array([0.0, 0.7]), 0.05, *args,
-                              c1=np.array([-0.4, -0.1]), c2=1.8)[2]
+        # As in umau, the first iteration reuses the law the cuts start from.
+        ok = batch_solve_umpu(np.array([0.0, 0.7]), 0.05, *args)[2]
         assert bool(np.all(ok))
-        self._assert_one_per_iteration(counts, starts=1)
+        self._assert_one_per_iteration(counts, starts=0)
         assert counts["points"] == {(2,)}
 
 

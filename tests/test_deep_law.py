@@ -21,7 +21,7 @@ import pytest
 
 from enrichci import _kernels, batch
 from enrichci._kernels import CondLaw, pooled_sd
-from enrichci.batch import batch_ctost_ci, batch_umau_ci
+from enrichci.batch import batch_ctost_ci, batch_solve_umpu, batch_umau_ci
 
 from oracle import mp_integrals
 from test_batch import _bounds, _plausible_observations
@@ -162,7 +162,8 @@ class TestSlopeCheck:
     """The slope check passes the kernels' law at tost endpoints, deep ones
     included, and rejects a law whose CDF slope is off by 1e-4 relative,
     at sigma1/sigma2 of 1 and of 0.01, where the law is about 0.01 sigma12
-    wide. So does each solver, which checks every converged endpoint."""
+    wide. So does each solver, which checks every converged endpoint or
+    acceptance region."""
 
     @pytest.mark.parametrize("factor", [1.0 - 1e-4, 1.0 + 1e-4])
     @pytest.mark.parametrize("ratio", [1.0, 0.01])
@@ -195,12 +196,15 @@ class TestSlopeCheck:
         observed = _plausible_observations(ratio, 1.0, lower, upper)
         seeds = batch_ctost_ci(observed, *args)
         assert bool(np.all(seeds[2]))
+        deltas = np.linspace(-4.0, 4.0, 9) * pooled_sd(ratio, 1.0)
+        assert bool(np.all(batch_solve_umpu(deltas, *args)[2]))
         cdf = CondLaw.cdf
         monkeypatch.setattr(CondLaw, "cdf",
                             lambda law, x: factor * cdf(law, x))
-        # Without the check, both solvers converge on most of these.
+        # Without the check, each solver converges on most of these.
         assert not np.any(batch_ctost_ci(observed, *args)[2])
         assert not np.any(batch_umau_ci(observed, *args, seeds=seeds)[2])
+        assert not np.any(batch_solve_umpu(deltas, *args)[2])
 
     def test_umau_checks_the_law_at_the_returned_delta(self, monkeypatch):
         # At sigma1/sigma2 = 0.01 one endpoint's last joint Newton step
